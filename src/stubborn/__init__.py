@@ -9,7 +9,6 @@ conditional-expectation (Feynman-Kac style) estimator.
 __version__ = "0.1.0"
 
 from .model import (
-    Control,
     LagrangeParams,
     ModeFlags,
     ModelParams,
@@ -23,7 +22,6 @@ from .dynamics import (
     Path,
     diffusion,
     drift,
-    em_step,
     em_transition_logdensity,
     path_logdensity,
     simulate_batch,
@@ -66,7 +64,6 @@ from .feynman_kac import FKProblem, fk_estimate, fk_pde_residual_check
 
 __all__ = [
     "__version__",
-    "Control",
     "LagrangeParams",
     "ModeFlags",
     "ModelParams",
@@ -78,7 +75,6 @@ __all__ = [
     "Path",
     "diffusion",
     "drift",
-    "em_step",
     "em_transition_logdensity",
     "path_logdensity",
     "simulate_batch",

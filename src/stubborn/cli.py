@@ -8,7 +8,8 @@ CSV numbers use the shortest round-trip decimal representation so repeated
 runs are byte-identical (manifest timing aside).
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
-error.  STUBBORN_THREADS caps the simulation worker count.
+error.  STUBBORN_THREADS caps the Monte Carlo worker count; outputs do not
+depend on it.
 """
 
 from __future__ import annotations
@@ -92,54 +93,91 @@ class RunConfig:
         return GridSpec(0.0, self.payoff.horizon, 3)
 
 
-def _require(section: dict, section_name: str, field: str) -> float:
+def _section(raw: dict, key: str, name: str, required: bool = False) -> dict:
+    """raw[key] as a JSON object ({} when absent and optional)."""
+    if key not in raw:
+        if required:
+            raise ConfigError(f"{name} section required")
+        return {}
+    if not isinstance(raw[key], dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    return raw[key]
+
+
+def _number(section: dict, section_name: str, field: str, default=None, kind=float):
+    """section[field] converted by kind (float or int); required unless a default is given."""
     if field not in section:
-        raise ConfigError(f"{section_name}.{field} required")
-    return section[field]
+        if default is None:
+            raise ConfigError(f"{section_name}.{field} required")
+        return default
+    try:
+        return kind(section[field])
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"{section_name}.{field} must be a number, got {section[field]!r}"
+        ) from None
 
 
-def _build_grid(raw: dict, name: str) -> GridSpec:
+def _build_grid(raw: dict, key: str) -> GridSpec:
+    g = _section(raw, key, key)
     spec = GridSpec(
-        min=float(_require(raw, name, "min")),
-        max=float(_require(raw, name, "max")),
-        n=int(_require(raw, name, "n")),
+        min=_number(g, key, "min"),
+        max=_number(g, key, "max"),
+        n=_number(g, key, "n", kind=int),
     )
     if not spec.min < spec.max:
-        raise ConfigError(f"{name}.min must be below {name}.max")
+        raise ConfigError(f"{key}.min must be below {key}.max")
     if spec.n < 2:
-        raise ConfigError(f"{name}.n must be at least 2")
+        raise ConfigError(f"{key}.n must be at least 2")
     return spec
+
+
+def _validate_numerics(numerics: Numerics, horizon: float) -> None:
+    """Numerics rules that also apply after command-line overrides."""
+    if numerics.dt <= 0.0:
+        raise ConfigError("numerics.dt must be positive")
+    try:
+        dynamics.n_steps_for(horizon, numerics.dt)
+    except ValueError as exc:
+        raise ConfigError(f"numerics.dt: {exc}") from None
+    if numerics.n_paths < 1:
+        raise ConfigError("numerics.n_paths must be at least 1")
+    if numerics.x0 < 0.0:
+        raise ConfigError("numerics.x0 must be nonnegative")
+    if numerics.u_grid_n < 2:
+        raise ConfigError("numerics.u_grid_n must be at least 2")
+    if numerics.density.snapshot_stride < 1:
+        raise ConfigError("numerics.density.snapshot_stride must be at least 1")
+    if numerics.density.step not in ("schrodinger", "kernel"):
+        raise ConfigError("numerics.density.step must be 'schrodinger' or 'kernel'")
 
 
 def parse_config(raw: dict) -> RunConfig:
     """Validated RunConfig from a parsed JSON document."""
-    if "model" not in raw:
-        raise ConfigError("model section required")
-    if "payoff" not in raw:
-        raise ConfigError("payoff section required")
-    m = raw["model"]
-    p = raw["payoff"]
+    m = _section(raw, "model", "model", required=True)
+    p = _section(raw, "payoff", "payoff", required=True)
     model = ModelParams(
-        a=float(_require(m, "model", "a")),
-        sigma1=float(_require(m, "model", "sigma1")),
-        sigma2=float(_require(m, "model", "sigma2")),
+        a=_number(m, "model", "a"),
+        sigma1=_number(m, "model", "sigma1"),
+        sigma2=_number(m, "model", "sigma2"),
     )
     payoff = PayoffParams(
-        theta=float(_require(p, "payoff", "theta")),
-        alpha1=float(_require(p, "payoff", "alpha1")),
-        alpha2=float(_require(p, "payoff", "alpha2")),
-        alpha3=float(_require(p, "payoff", "alpha3")),
-        c=float(_require(p, "payoff", "c")),
-        r=float(_require(p, "payoff", "r")),
-        mu_bar=float(_require(p, "payoff", "mu_bar")),
-        omega=float(_require(p, "payoff", "omega")),
-        horizon=float(_require(p, "payoff", "horizon")),
+        theta=_number(p, "payoff", "theta"),
+        alpha1=_number(p, "payoff", "alpha1"),
+        alpha2=_number(p, "payoff", "alpha2"),
+        alpha3=_number(p, "payoff", "alpha3"),
+        c=_number(p, "payoff", "c"),
+        r=_number(p, "payoff", "r"),
+        mu_bar=_number(p, "payoff", "mu_bar"),
+        omega=_number(p, "payoff", "omega"),
+        horizon=_number(p, "payoff", "horizon"),
     )
-    lag_raw = raw.get("lagrange", {})
+    lag_raw = _section(raw, "lagrange", "lagrange")
     lagrange = LagrangeParams(
-        l0=float(lag_raw.get("l0", 0.0)), l1=float(lag_raw.get("l1", 0.0))
+        l0=_number(lag_raw, "lagrange", "l0", 0.0),
+        l1=_number(lag_raw, "lagrange", "l1", 0.0),
     )
-    modes_raw = raw.get("modes", {})
+    modes_raw = _section(raw, "modes", "modes")
     try:
         modes = ModeFlags(
             derivative_mode=modes_raw.get("derivative_mode", "paper"),
@@ -150,43 +188,33 @@ def parse_config(raw: dict) -> RunConfig:
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
 
-    n_raw = raw.get("numerics", {})
-    tol_raw = n_raw.get("tolerances", {})
-    dens_raw = n_raw.get("density", {})
+    n_raw = _section(raw, "numerics", "numerics")
+    tol_raw = _section(n_raw, "tolerances", "numerics.tolerances")
+    dens_raw = _section(n_raw, "density", "numerics.density")
     numerics = Numerics(
-        dt=float(n_raw.get("dt", 0.01)),
-        n_paths=int(n_raw.get("n_paths", 1000)),
-        seed=int(n_raw.get("seed", 42)),
-        x0=float(n_raw.get("x0", 1.0)),
-        u_grid_n=int(n_raw.get("u_grid_n", 21)),
-        x_grid=_build_grid(n_raw["x_grid"], "x_grid") if "x_grid" in n_raw else GridSpec(0.2, 3.0, 65),
-        s_grid=_build_grid(n_raw["s_grid"], "s_grid") if "s_grid" in n_raw else None,
+        dt=_number(n_raw, "numerics", "dt", 0.01),
+        n_paths=_number(n_raw, "numerics", "n_paths", 1000, int),
+        seed=_number(n_raw, "numerics", "seed", 42, int),
+        x0=_number(n_raw, "numerics", "x0", 1.0),
+        u_grid_n=_number(n_raw, "numerics", "u_grid_n", 21, int),
+        x_grid=_build_grid(n_raw, "x_grid") if "x_grid" in n_raw else GridSpec(0.2, 3.0, 65),
+        s_grid=_build_grid(n_raw, "s_grid") if "s_grid" in n_raw else None,
         tolerances=Tolerances(
-            fd_rel=float(tol_raw.get("fd_rel", 1e-5)),
-            residual_rel=float(tol_raw.get("residual_rel", 1e-6)),
-            quad_rel=float(tol_raw.get("quad_rel", 1e-8)),
+            fd_rel=_number(tol_raw, "numerics.tolerances", "fd_rel", 1e-5),
+            residual_rel=_number(tol_raw, "numerics.tolerances", "residual_rel", 1e-6),
+            quad_rel=_number(tol_raw, "numerics.tolerances", "quad_rel", 1e-8),
         ),
         density=DensityRun(
-            eps=float(dens_raw.get("eps", 0.01)),
-            n_steps=int(dens_raw.get("n_steps", 20)),
-            snapshot_stride=int(dens_raw.get("snapshot_stride", 5)),
-            u=float(dens_raw.get("u", 0.2)),
+            eps=_number(dens_raw, "numerics.density", "eps", 0.01),
+            n_steps=_number(dens_raw, "numerics.density", "n_steps", 20, int),
+            snapshot_stride=_number(dens_raw, "numerics.density", "snapshot_stride", 5, int),
+            u=_number(dens_raw, "numerics.density", "u", 0.2),
             step=str(dens_raw.get("step", "schrodinger")),
             gradient_correction=bool(dens_raw.get("gradient_correction", False)),
         ),
     )
-    if numerics.dt <= 0.0:
-        raise ConfigError("numerics.dt must be positive")
-    if numerics.n_paths < 1:
-        raise ConfigError("numerics.n_paths must be at least 1")
-    if numerics.x0 < 0.0:
-        raise ConfigError("numerics.x0 must be nonnegative")
-    if numerics.u_grid_n < 2:
-        raise ConfigError("numerics.u_grid_n must be at least 2")
-    if numerics.density.step not in ("schrodinger", "kernel"):
-        raise ConfigError("numerics.density.step must be 'schrodinger' or 'kernel'")
-
     validate_params(model, payoff, lagrange)
+    _validate_numerics(numerics, payoff.horizon)
     return RunConfig(model=model, payoff=payoff, lagrange=lagrange, modes=modes, numerics=numerics)
 
 
@@ -278,6 +306,7 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
                     config.lagrange,
                     config.modes,
                     dt=num.dt,
+                    n_paths=num.n_paths,
                     seed=num.seed,
                 )
                 rows.append(
@@ -433,17 +462,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config)
-        num = config.numerics
-        if args.seed is not None:
-            num = dataclasses.replace(num, seed=args.seed)
-        if args.dt is not None:
-            if args.dt <= 0.0:
-                raise ConfigError("numerics.dt must be positive")
-            num = dataclasses.replace(num, dt=args.dt)
-        if args.n_paths is not None:
-            if args.n_paths < 1:
-                raise ConfigError("numerics.n_paths must be at least 1")
-            num = dataclasses.replace(num, n_paths=args.n_paths)
+        overrides = {"seed": args.seed, "dt": args.dt, "n_paths": args.n_paths}
+        num = dataclasses.replace(
+            config.numerics, **{k: v for k, v in overrides.items() if v is not None}
+        )
+        _validate_numerics(num, config.payoff.horizon)
         config = dataclasses.replace(config, numerics=num)
     except (ConfigError, ParameterError) as exc:
         _write_failure_manifest(args.command, args.out_dir, str(exc))

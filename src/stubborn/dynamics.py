@@ -10,6 +10,11 @@ Noise is counter-based: the draw for (seed, path_index, step_index) is a
 pure function of those three integers (SplitMix64-style bit mixing feeding
 a Box-Muller transform), so per-path streams are bit-reproducible and
 independent of batch layout, chunking, and thread count.
+
+`_em_steps` is the only Euler-Maruyama recursion in the package and
+`_for_each_chunk` the only place that splits paths into blocks and threads.
+The simulators here, `payoff.expected_payoff` and `feynman_kac.fk_estimate`
+are per-step accumulators over those two functions.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +32,10 @@ from .model import ModelParams, State
 PolicyFn = Callable[[float, np.ndarray], np.ndarray | float]
 
 STEP_TOL = 1e-9
+
+# Paths per block.  Block boundaries depend only on n_paths, never on the
+# worker count.
+_BLOCK_PATHS = 16384
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -119,14 +128,6 @@ def _diffusion_arr(x: np.ndarray, model: ModelParams) -> np.ndarray:
     return model.sigma1 - model.sigma2 * x
 
 
-def em_step(state: State, u: float, model: ModelParams, dt: float, noise: float) -> float:
-    """One Euler-Maruyama update, clamped at 0."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    raw = state.x + drift(state, u, model) * dt + diffusion(state, model) * math.sqrt(dt) * noise
-    return max(0.0, raw)
-
-
 def n_steps_for(horizon: float, dt: float) -> int:
     """round(horizon/dt), requiring horizon to be an integer multiple of dt."""
     if dt <= 0.0:
@@ -144,7 +145,7 @@ def _as_control_array(value: np.ndarray | float, n: int) -> np.ndarray:
     return np.broadcast_to(u, (n,))
 
 
-def simulate_chunk(
+def _em_steps(
     x0: float,
     policy: PolicyFn,
     model: ModelParams,
@@ -153,30 +154,28 @@ def simulate_chunk(
     seed: int,
     first_path: int,
     n_paths: int,
+    s0: float = 0.0,
     clamp: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate a contiguous block of paths, vectorized across the block.
+) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Step paths [first_path, first_path + n_paths) from x0 at time s0.
 
-    Returns (states, clamped) with shapes (n_paths, n_steps+1) and
-    (n_paths, n_steps+1). With clamp=False the raw pre-clamp recursion is
-    produced (used by moment-law validation); clamp flags then mark where
-    clamping would have occurred.
+    Yields (s_j, x_j, u_j, x_next, hit_j) for j = 0..n_steps-1, where u_j is
+    the policy clipped to [0, 1] and hit_j marks raw updates below 0.  The
+    noise step index j counts from 0 whatever s0 is.  With clamp=False
+    x_next is the raw pre-clamp recursion (moment-law validation).  The
+    yielded arrays are read-only to the caller.
     """
-    states = np.empty((n_paths, n_steps + 1), dtype=np.float64)
-    clamped = np.zeros((n_paths, n_steps + 1), dtype=bool)
-    x = np.full(n_paths, float(x0))
-    states[:, 0] = x
     sqrt_dt = math.sqrt(dt)
+    x = np.full(n_paths, float(x0))
     for j in range(n_steps):
-        s_j = j * dt
+        s_j = s0 + j * dt
         u = _as_control_array(policy(s_j, x), n_paths)
         w = step_normals(seed, first_path, n_paths, j)
         raw = x + _drift_arr(x, u, model) * dt + _diffusion_arr(x, model) * sqrt_dt * w
         hit = raw < 0.0
-        clamped[:, j + 1] = hit
-        x = np.maximum(raw, 0.0) if clamp else raw
-        states[:, j + 1] = x
-    return states, clamped
+        x_next = np.maximum(raw, 0.0) if clamp else raw
+        yield s_j, x, u, x_next, hit
+        x = x_next
 
 
 def _worker_count() -> int:
@@ -189,6 +188,26 @@ def _worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _for_each_chunk(n_paths: int, work: Callable[[int, int], None]) -> None:
+    """Call work(lo, hi) on every fixed block of [0, n_paths).
+
+    Blocks run on up to STUBBORN_THREADS threads, or inline when there is
+    only one.  Each call must write only the [lo:hi] slice of arrays its
+    caller owns, so results do not depend on the worker count.
+    """
+    blocks = [
+        (lo, min(lo + _BLOCK_PATHS, n_paths)) for lo in range(0, n_paths, _BLOCK_PATHS)
+    ]
+    workers = min(_worker_count(), len(blocks))
+    if workers <= 1:
+        for lo, hi in blocks:
+            work(lo, hi)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        for fut in [pool.submit(work, lo, hi) for lo, hi in blocks]:
+            fut.result()
+
+
 def simulate_batch(
     x0: float,
     policy: PolicyFn,
@@ -198,36 +217,25 @@ def simulate_batch(
     seed: int,
     n_paths: int,
     clamp: bool = True,
-    chunk_size: int = 16384,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n_paths trajectories; returns (states, clamped) matrices.
 
-    Chunk boundaries are a fixed function of n_paths/chunk_size, and each
-    path's noise is keyed by its absolute index, so results are identical
-    for any worker count. Chunks are reassembled in path-index order.
+    Both have shape (n_paths, n_steps+1).  With clamp=False the raw
+    pre-clamp recursion is stored; clamp flags then mark where clamping
+    would have occurred.
     """
     n_steps = n_steps_for(horizon, dt)
-    chunks = [
-        (lo, min(lo + chunk_size, n_paths)) for lo in range(0, n_paths, chunk_size)
-    ]
-    workers = min(_worker_count(), len(chunks))
     states = np.empty((n_paths, n_steps + 1), dtype=np.float64)
-    clamped = np.empty((n_paths, n_steps + 1), dtype=bool)
-    if workers <= 1:
-        for lo, hi in chunks:
-            states[lo:hi], clamped[lo:hi] = simulate_chunk(
-                x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp
-            )
-        return states, clamped
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(
-                simulate_chunk, x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp
-            ): (lo, hi)
-            for lo, hi in chunks
-        }
-        for fut, (lo, hi) in futures.items():
-            states[lo:hi], clamped[lo:hi] = fut.result()
+    clamped = np.zeros((n_paths, n_steps + 1), dtype=bool)
+    states[:, 0] = x0
+
+    def work(lo: int, hi: int) -> None:
+        steps = _em_steps(x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp=clamp)
+        for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
+            states[lo:hi, j] = x_next
+            clamped[lo:hi, j] = hit
+
+    _for_each_chunk(n_paths, work)
     return states, clamped
 
 
@@ -240,30 +248,25 @@ def simulate_final(
     seed: int,
     n_paths: int,
     clamp: bool = True,
-    chunk_size: int = 16384,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Final states and per-path clamp flags without storing trajectories.
 
     Streaming counterpart of simulate_batch for moment statistics at large
-    path counts; memory O(chunk_size).
+    path counts; memory O(block size) per worker.
     """
     n_steps = n_steps_for(horizon, dt)
-    sqrt_dt = math.sqrt(dt)
     final = np.empty(n_paths)
     clamp_any = np.zeros(n_paths, dtype=bool)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        m = hi - lo
-        x = np.full(m, float(x0))
-        hit = np.zeros(m, dtype=bool)
-        for j in range(n_steps):
-            u = _as_control_array(policy(j * dt, x), m)
-            w = step_normals(seed, lo, m, j)
-            raw = x + _drift_arr(x, u, model) * dt + _diffusion_arr(x, model) * sqrt_dt * w
-            hit |= raw < 0.0
-            x = np.maximum(raw, 0.0) if clamp else raw
-        final[lo:hi] = x
-        clamp_any[lo:hi] = hit
+
+    def work(lo: int, hi: int) -> None:
+        block_clamped = clamp_any[lo:hi]
+        for _s, _x, _u, x_next, hit in _em_steps(
+            x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
+        ):
+            block_clamped |= hit
+        final[lo:hi] = x_next
+
+    _for_each_chunk(n_paths, work)
     return final, clamp_any
 
 
@@ -278,11 +281,15 @@ def simulate_path(
 ) -> Path:
     """Simulate a single path; bit-reproducible given (seed, dt, x0, params, policy)."""
     n_steps = n_steps_for(horizon, dt)
-    states, clamped = simulate_chunk(
-        x0, policy, model, dt, n_steps, seed, path_index, 1
-    )
+    states = np.empty(n_steps + 1)
+    clamped = np.zeros(n_steps + 1, dtype=bool)
+    states[0] = x0
+    steps = _em_steps(x0, policy, model, dt, n_steps, seed, path_index, 1)
+    for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
+        states[j] = x_next[0]
+        clamped[j] = hit[0]
     times = np.arange(n_steps + 1, dtype=np.float64) * dt
-    return Path(seed=seed, dt=dt, times=times, states=states[0], clamped=clamped[0])
+    return Path(seed=seed, dt=dt, times=times, states=states, clamped=clamped)
 
 
 def em_transition_logdensity(
@@ -317,14 +324,3 @@ def path_logdensity(path: Path, policy: PolicyFn, model: ModelParams) -> float:
         )
     return total
 
-
-def paths_to_csv(paths: Sequence[Path], out_path: str) -> None:
-    """Write paths as CSV rows `path_id,step,s,x,clamped` (clamped in {0,1})."""
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path_id,step,s,x,clamped\n")
-        for pid, path in enumerate(paths):
-            for k in range(len(path.times)):
-                fh.write(
-                    f"{pid},{k},{float(path.times[k])!r},{float(path.states[k])!r},"
-                    f"{1 if path.clamped[k] else 0}\n"
-                )

@@ -5,7 +5,9 @@
                  | x(s) = x ],
 
 with x following the goal dynamics under a known feedback policy.  Inner
-integrals are left-endpoint Riemann sums on the Euler-Maruyama grid.
+integrals are left-endpoint Riemann sums on the Euler-Maruyama grid,
+accumulated step by step over `dynamics._em_steps`, the package's only
+Euler-Maruyama recursion.
 
 A finite-difference residual check against the generator equation
 -V*phi + Theta + phi_s + phi_x*mu + (1/2)*phi_xx*sigma^2 = 0 is provided,
@@ -46,7 +48,6 @@ def fk_estimate(
     dt: float,
     n_paths: int,
     seed: int,
-    chunk_size: int = 16384,
 ) -> tuple[float, float]:
     """(mean, std_error) of the conditional-expectation functional from (s, x)."""
     if not s < problem.horizon:
@@ -54,33 +55,22 @@ def fk_estimate(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     n_steps = dynamics.n_steps_for(problem.horizon - s, dt)
-    model = problem.dynamics
-    sqrt_dt = math.sqrt(dt)
     totals = np.empty(n_paths)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
+
+    def work(lo: int, hi: int) -> None:
         m = hi - lo
-        xs = np.full(m, float(x))
         disc = np.ones(m)
         theta_acc = np.zeros(m)
-        for j in range(n_steps):
-            s_j = s + j * dt
-            u = np.broadcast_to(
-                np.clip(np.asarray(problem.policy(s_j, xs), dtype=np.float64), 0.0, 1.0),
-                (m,),
-            )
+        for s_j, xs, u, x_next, _hit in dynamics._em_steps(
+            x, problem.policy, problem.dynamics, dt, n_steps, seed, lo, m, s0=s
+        ):
             theta_acc += np.broadcast_to(problem.Theta(s_j, xs, u), (m,)) * disc * dt
             disc = disc * np.exp(-np.broadcast_to(problem.V(s_j, xs, u), (m,)) * dt)
-            w = dynamics.step_normals(seed, lo, m, j)
-            raw = (
-                xs
-                + dynamics._drift_arr(xs, u, model) * dt
-                + dynamics._diffusion_arr(xs, model) * sqrt_dt * w
-            )
-            xs = np.maximum(raw, 0.0)
         totals[lo:hi] = (
-            np.broadcast_to(problem.T_term(problem.horizon, xs), (m,)) * disc + theta_acc
+            np.broadcast_to(problem.T_term(problem.horizon, x_next), (m,)) * disc + theta_acc
         )
+
+    dynamics._for_each_chunk(n_paths, work)
     mean = float(totals.mean())
     std_error = float(totals.std(ddof=1) / math.sqrt(n_paths)) if n_paths >= 2 else 0.0
     return mean, std_error

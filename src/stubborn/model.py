@@ -96,17 +96,6 @@ class State:
             raise ParameterError("x must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class Control:
-    """Stubbornness level u in [0, 1]."""
-
-    u: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.u <= 1.0):
-            raise ParameterError("u must lie in [0, 1]")
-
-
 def clamp_control(u: float) -> float:
     """Clamp a raw control value into [0, 1] (applied at public boundaries)."""
     return min(max(u, 0.0), 1.0)

@@ -4,7 +4,8 @@ The running payoff is pi(s, x, u) = (theta + alpha1 + alpha2 + alpha3)*x
 - c*u^2 / ((r - mu_bar)*sqrt(x)); the expected payoff J discounts pi at
 rate r along simulated goal-dynamics paths and adds the terminal bonus
 omega*e^{-rt}*sqrt(x(t)).  The payoff integral uses a left-endpoint Riemann
-sum on the Euler-Maruyama grid, matching the simulation discretization.
+sum on the Euler-Maruyama grid, accumulated step by step over
+`dynamics._em_steps`, the package's only Euler-Maruyama recursion.
 
 Paths that reach the x = 0 clamp while exercising u > 0 make the cost term
 singular; such paths are flagged invalid and excluded from the estimate,
@@ -64,51 +65,6 @@ def terminal_bonus(x_final: float, payoff: PayoffParams) -> float:
     return payoff.omega * math.exp(-payoff.r * payoff.horizon) * math.sqrt(x_final)
 
 
-def _chunk_totals(
-    x0: float,
-    policy: dynamics.PolicyFn,
-    model: ModelParams,
-    payoff: PayoffParams,
-    dt: float,
-    n_steps: int,
-    seed: int,
-    first_path: int,
-    n_paths: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate one block and accumulate per-path
-    (discounted Riemann sum + bonus, clamp flag, invalid flag) on the fly."""
-    k = payoff.c / (payoff.r - payoff.mu_bar)
-    sqrt_dt = math.sqrt(dt)
-    x = np.full(n_paths, float(x0))
-    totals = np.zeros(n_paths)
-    clamp_flags = np.zeros(n_paths, dtype=bool)
-    invalid = np.zeros(n_paths, dtype=bool)
-    for j in range(n_steps):
-        s_j = j * dt
-        u = np.broadcast_to(
-            np.clip(np.asarray(policy(s_j, x), dtype=np.float64), 0.0, 1.0), (n_paths,)
-        )
-        at_zero = x <= 0.0
-        invalid |= at_zero & (u > 0.0)
-        # Cost evaluated off the boundary only; x = 0 with u = 0 contributes
-        # nothing (the linear term vanishes there too).
-        safe_x = np.where(at_zero, 1.0, x)
-        pi = payoff.reward_coeff * x - np.where(
-            at_zero, 0.0, k * u * u / np.sqrt(safe_x)
-        )
-        totals += math.exp(-payoff.r * s_j) * pi * dt
-        w = dynamics.step_normals(seed, first_path, n_paths, j)
-        raw = (
-            x
-            + dynamics._drift_arr(x, u, model) * dt
-            + dynamics._diffusion_arr(x, model) * sqrt_dt * w
-        )
-        clamp_flags |= raw < 0.0
-        x = np.maximum(raw, 0.0)
-    totals += payoff.omega * math.exp(-payoff.r * payoff.horizon) * np.sqrt(x)
-    return totals, clamp_flags, invalid
-
-
 def expected_payoff(
     x0: float,
     policy: dynamics.PolicyFn,
@@ -117,7 +73,6 @@ def expected_payoff(
     dt: float,
     n_paths: int,
     seed: int,
-    chunk_size: int = 16384,
 ) -> PayoffEstimate:
     """Monte Carlo estimate of J(policy) from n_paths simulated paths.
 
@@ -128,14 +83,31 @@ def expected_payoff(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     n_steps = dynamics.n_steps_for(payoff.horizon, dt)
+    k = payoff.c / (payoff.r - payoff.mu_bar)
+    bonus = payoff.omega * math.exp(-payoff.r * payoff.horizon)
     totals = np.empty(n_paths)
-    clamp_flags = np.empty(n_paths, dtype=bool)
-    invalid = np.empty(n_paths, dtype=bool)
-    for lo in range(0, n_paths, chunk_size):
-        hi = min(lo + chunk_size, n_paths)
-        totals[lo:hi], clamp_flags[lo:hi], invalid[lo:hi] = _chunk_totals(
-            x0, policy, model, payoff, dt, n_steps, seed, lo, hi - lo
-        )
+    clamp_flags = np.zeros(n_paths, dtype=bool)
+    invalid = np.zeros(n_paths, dtype=bool)
+
+    def work(lo: int, hi: int) -> None:
+        running = np.zeros(hi - lo)
+        block_invalid, block_clamped = invalid[lo:hi], clamp_flags[lo:hi]
+        for s_j, x, u, x_next, hit in dynamics._em_steps(
+            x0, policy, model, dt, n_steps, seed, lo, hi - lo
+        ):
+            at_zero = x <= 0.0
+            block_invalid |= at_zero & (u > 0.0)
+            # Cost evaluated off the boundary only; x = 0 with u = 0
+            # contributes nothing (the linear term vanishes there too).
+            safe_x = np.where(at_zero, 1.0, x)
+            pi = payoff.reward_coeff * x - np.where(
+                at_zero, 0.0, k * u * u / np.sqrt(safe_x)
+            )
+            running += math.exp(-payoff.r * s_j) * pi * dt
+            block_clamped |= hit
+        totals[lo:hi] = running + bonus * np.sqrt(x_next)
+
+    dynamics._for_each_chunk(n_paths, work)
     valid = ~invalid
     n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from stubborn import control, dynamics
 from stubborn.cli import ConfigError, load_config, main, parse_config, run_command
+from stubborn.model import ModelParams
+from stubborn.payoff import constant_policy
 
 MINIMAL = {
     "model": {"a": 1.0, "sigma1": 0.3, "sigma2": 0.1},
@@ -79,6 +83,15 @@ def test_simulate_row_count_and_manifest(tmp_path):
     lines = (tmp_path / "out" / "paths.csv").read_text().strip().split("\n")
     assert lines[0] == "path_id,step,s,x,clamped"
     assert len(lines) == 1 + 16 * 21  # n_paths * (n_steps + 1)
+    # every x round-trips to the simulated state bit for bit
+    states, clamped = dynamics.simulate_batch(
+        1.0, constant_policy(0.0), ModelParams(**MINIMAL["model"]), 0.05, 1.0, 3, 16
+    )
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [(int(r[0]), int(r[1])) for r in rows[:2]] == [(0, 0), (0, 1)]
+    assert np.array_equal([float(r[3]) for r in rows], states.ravel())
+    assert np.array_equal([r[4] == "1" for r in rows], clamped.ravel())
+    assert {r[4] for r in rows} <= {"0", "1"}
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert manifest["files"] == [str(tmp_path / "out" / "paths.csv")]
@@ -116,6 +129,31 @@ def test_optimize_domain_cells(tmp_path):
     assert len(below) == 2  # the x = 0 column at both s values
     ok_rows = [ln for ln in lines[1:] if ln.endswith(",ok")]
     assert ok_rows, "interior cells should resolve"
+
+
+def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
+    seen = []
+    ranked = control.expected_payoff
+
+    def spy(x0, policy, model, payoff, dt, n_paths, seed):
+        seen.append(n_paths)
+        return ranked(x0, policy, model, payoff, dt, n_paths, seed)
+
+    monkeypatch.setattr(control, "expected_payoff", spy)
+    # these cells have two nonnegative candidates, so both get ranked
+    doc = {
+        "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
+        "payoff": dict(MINIMAL["payoff"], c=2.5),
+        "lagrange": {"l0": 0.4, "l1": 0.0},
+        "numerics": small_numerics(
+            dt=0.01, n_paths=37,
+            x_grid={"min": 0.2, "max": 0.3, "n": 2}, s_grid={"min": 0.0, "max": 0.5, "n": 2},
+        ),
+    }
+    code = main(["optimize", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert seen and set(seen) == {37}
 
 
 def test_density_snapshots(tmp_path):
@@ -207,6 +245,19 @@ def test_usage_errors_exit_2(tmp_path):
         "density", "--config", write_config(tmp_path, bad_grid, "g.json"),
         "--out-dir", str(tmp_path / "out2"),
     ]) == 2
+    # malformed values are rejected while parsing, each with a manifest
+    malformed = [
+        ("simulate", dict(MINIMAL, model=3)),
+        ("simulate", dict(MINIMAL, model=dict(MINIMAL["model"], a="x"))),
+        ("simulate", dict(MINIMAL, numerics=small_numerics(dt=0.3))),
+        ("density", dict(MINIMAL, numerics=small_numerics(density={"snapshot_stride": 0}))),
+    ]
+    for i, (command, doc) in enumerate(malformed):
+        case_out = tmp_path / f"malformed{i}"
+        assert main([command, "--config", write_config(tmp_path, doc, f"m{i}.json"),
+                     "--out-dir", str(case_out)]) == 2, doc
+        manifest = json.loads((case_out / "manifest.json").read_text())
+        assert manifest["status"] == "config_error", doc
 
 
 def test_run_command_rejects_unknown():

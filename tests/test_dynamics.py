@@ -1,24 +1,27 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stubborn import dynamics
 from stubborn.dynamics import (
     ClampedPathError,
     DegenerateDensityError,
     drift,
     diffusion,
-    em_step,
     em_transition_logdensity,
     n_steps_for,
     path_logdensity,
-    paths_to_csv,
     simulate_batch,
     simulate_final,
     simulate_path,
     step_normals,
 )
-from stubborn.model import ModelParams, State
+from stubborn.feynman_kac import FKProblem, fk_estimate
+from stubborn.model import ModelParams, PayoffParams, State
+from stubborn.payoff import expected_payoff
 
 ZERO_POLICY = lambda s, x: 0.0
 
@@ -35,18 +38,6 @@ def test_diffusion_values():
     assert diffusion(State(s=0, x=4), ModelParams(a=0, sigma1=0.1, sigma2=0.5)) == -1.9
 
 
-def test_em_step_values():
-    frozen = ModelParams(a=0, sigma1=0, sigma2=0)
-    assert em_step(State(s=0, x=1), 0.0, frozen, 0.1, noise=1.7) == 1.0
-    assert em_step(State(s=0, x=1), 0.5, frozen, 0.1, noise=123.0) == pytest.approx(0.95)
-    assert em_step(State(s=0, x=0.01), 1.0, frozen, 0.1, noise=-5.0) == 0.0
-
-
-def test_em_step_requires_positive_dt():
-    with pytest.raises(ValueError):
-        em_step(State(s=0, x=1), 0.0, ModelParams(a=0, sigma1=0, sigma2=0), 0.0, 0.0)
-
-
 def test_simulate_path_frozen_dynamics():
     path = simulate_path(1.0, ZERO_POLICY, ModelParams(a=0, sigma1=0, sigma2=0), 0.25, 1.0, seed=3)
     assert np.array_equal(path.states, np.ones(5))
@@ -55,15 +46,25 @@ def test_simulate_path_frozen_dynamics():
 
 
 def test_simulate_path_deterministic_euler():
-    path = simulate_path(
-        1.0, lambda s, x: 0.5, ModelParams(a=0, sigma1=0, sigma2=0), 0.25, 1.0, seed=3
-    )
-    assert np.allclose(path.states, [1.0, 0.875, 0.75, 0.625, 0.5], atol=0, rtol=0)
+    frozen = ModelParams(a=0, sigma1=0, sigma2=0)
+    cases = [
+        # (x0, u, dt, horizon, states, clamped)
+        (1.0, 0.5, 0.25, 1.0, [1.0, 0.875, 0.75, 0.625, 0.5], [False] * 5),
+        (1.0, 0.5, 0.1, 0.1, [1.0, 1.0 + (-0.5) * 0.1], [False, False]),
+        # the raw update 0.01 - 0.1 goes negative: absorbed at 0 and flagged
+        (0.01, 1.0, 0.1, 0.1, [0.01, 0.0], [False, True]),
+    ]
+    for x0, u, dt, horizon, states, clamped in cases:
+        path = simulate_path(x0, lambda s, x: u, frozen, dt, horizon, seed=3)
+        assert np.array_equal(path.states, states)
+        assert np.array_equal(path.clamped, clamped)
 
 
 def test_horizon_must_be_step_multiple():
     with pytest.raises(ValueError, match="integer multiple"):
         n_steps_for(1.0, 0.3)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        n_steps_for(1.0, 0.0)
     assert n_steps_for(1.0, 0.25) == 4
     assert n_steps_for(1.0, 1e-3) == 1000
 
@@ -77,14 +78,61 @@ def test_bit_reproducibility():
     assert not np.array_equal(p1.states, p3.states)
 
 
-def test_thread_count_independence(monkeypatch):
-    model = ModelParams(a=0.5, sigma1=0.4, sigma2=0.2)
-    monkeypatch.setenv("STUBBORN_THREADS", "1")
-    s1, c1 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 5, 3000, chunk_size=512)
-    monkeypatch.setenv("STUBBORN_THREADS", "4")
-    s4, c4 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 5, 3000, chunk_size=512)
-    assert np.array_equal(s1, s4)
-    assert np.array_equal(c1, c4)
+ENGINE_MODEL = ModelParams(a=0.5, sigma1=0.6, sigma2=0.2)
+ENGINE_PAYOFF = PayoffParams(
+    theta=1.0, alpha1=0.1, alpha2=0.1, alpha3=0.1,
+    c=1.0, r=0.5, mu_bar=0.0, omega=1.0, horizon=0.5,
+)
+
+
+def engine_policy(s, x):
+    # state feedback that leaves [0, 1] on both sides, so clipping is exercised
+    return 1.2 - x + s
+
+
+ENGINE_FK = FKProblem(
+    V=lambda s, x, u: 0.3 + 0.1 * x,
+    Theta=lambda s, x, u: x - u * u,
+    T_term=lambda t, x: np.sqrt(x),
+    dynamics=ENGINE_MODEL,
+    policy=engine_policy,
+    horizon=0.5,
+)
+
+ENGINE_CALLS = {
+    "simulate_batch": lambda n, seed: simulate_batch(
+        0.4, engine_policy, ENGINE_MODEL, 0.05, 0.5, seed, n
+    ),
+    "simulate_final": lambda n, seed: simulate_final(
+        0.4, engine_policy, ENGINE_MODEL, 0.05, 0.5, seed, n, clamp=False
+    ),
+    "expected_payoff": lambda n, seed: dataclasses.astuple(
+        expected_payoff(0.4, engine_policy, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, n, seed)
+    ),
+    "fk_estimate": lambda n, seed: fk_estimate(ENGINE_FK, 0.1, 0.4, 0.05, n, seed),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_paths=st.integers(1, 40),
+    block=st.integers(1, 8),
+    threads=st.sampled_from(["1", "2"]),
+    seed=st.integers(0, 2**63),
+)
+def test_thread_count_independence(n_paths, block, threads, seed):
+    """Every engine caller is bit-identical across block sizes and worker counts."""
+    for name, call in ENGINE_CALLS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("STUBBORN_THREADS", "1")
+            reference = call(n_paths, seed)
+            mp.setattr(dynamics, "_BLOCK_PATHS", block)
+            mp.setenv("STUBBORN_THREADS", threads)
+            blocked = call(n_paths, seed)
+        for want, got in zip(reference, blocked, strict=True):
+            want, got = np.asarray(want), np.asarray(got)
+            assert want.dtype == got.dtype, name
+            assert np.array_equal(want, got, equal_nan=True), name
 
 
 def test_noise_is_random_access():
@@ -264,19 +312,3 @@ def test_marginal_density_matches_histogram():
             f"bin {i}: frac {frac:.5f} vs density {p_bin:.5f} (se {se:.2e})"
         )
 
-
-def test_paths_csv_roundtrip(tmp_path):
-    model = ModelParams(a=0.2, sigma1=0.3, sigma2=0.1)
-    paths = [
-        simulate_path(1.0, ZERO_POLICY, model, 0.25, 1.0, seed=5, path_index=i)
-        for i in range(3)
-    ]
-    out = tmp_path / "paths.csv"
-    paths_to_csv(paths, str(out))
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "path_id,step,s,x,clamped"
-    assert len(lines) == 1 + 3 * 5
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    assert float(first[3]) == paths[0].states[0]
-    assert first[4] in ("0", "1")

@@ -40,6 +40,11 @@ def test_constant_source_integrates_to_elapsed_time():
     prob = problem(Theta=lambda s, x, u: 1.0, T_term=lambda t, x: 0.0)
     mean, _ = fk_estimate(prob, 0.25, 1.0, 0.01, 8, seed=1)
     assert mean == pytest.approx(0.75, rel=1e-12)
+    # a source equal to the clock checks that the steps start at s, not 0:
+    # the left Riemann sum of s1 over [0.25, 1] with dt = 0.01
+    prob = problem(Theta=lambda s, x, u: s, T_term=lambda t, x: 0.0)
+    mean, _ = fk_estimate(prob, 0.25, 1.0, 0.01, 8, seed=1)
+    assert mean == pytest.approx(0.75 * 0.25 + 0.01 * 0.01 * 74 * 75 / 2, rel=1e-12)
 
 
 def test_linearity_with_common_random_numbers():

@@ -1,7 +1,6 @@
 import pytest
 
 from stubborn.model import (
-    Control,
     LagrangeParams,
     ModeFlags,
     ModelParams,
@@ -106,10 +105,6 @@ def test_state_structural_invariants():
 
 
 def test_control_bounds_and_clamp():
-    assert Control(u=0.0).u == 0.0
-    assert Control(u=1.0).u == 1.0
-    with pytest.raises(ParameterError):
-        Control(u=1.2)
     assert clamp_control(1.7) == 1.0
     assert clamp_control(-0.3) == 0.0
     assert clamp_control(0.42) == 0.42
