@@ -31,6 +31,7 @@ from .payoff import (
     PayoffEstimate,
     constant_policy,
     expected_payoff,
+    expected_payoffs,
     instantaneous_payoff,
     payoff_stationarity,
     terminal_bonus,
@@ -82,6 +83,7 @@ __all__ = [
     "PayoffEstimate",
     "constant_policy",
     "expected_payoff",
+    "expected_payoffs",
     "instantaneous_payoff",
     "payoff_stationarity",
     "terminal_bonus",

@@ -5,7 +5,9 @@ described by a single JSON config (about twenty parameters); command-line
 flags override top-level numerics only (--seed, --dt, --n-paths,
 --out-dir).  Every command writes a manifest.json naming each emitted file;
 CSV numbers use the shortest round-trip decimal representation so repeated
-runs are byte-identical (manifest timing aside).
+runs are byte-identical (manifest timing and diagnostics aside).  Each
+command returns (files, ok, diagnostics); the diagnostics dict lands in the
+manifest's `diagnostics` block next to the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
 error.  STUBBORN_THREADS caps the Monte Carlo worker count; outputs do not
@@ -35,7 +37,7 @@ from .model import (
     State,
     validate_params,
 )
-from .payoff import constant_policy, expected_payoff
+from .payoff import constant_policy, expected_payoffs
 
 
 class ConfigError(ValueError):
@@ -247,7 +249,7 @@ def _write_csv(path: FsPath, header: str, rows: list[str]) -> None:
             fh.write(row + "\n")
 
 
-def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
+def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
     num = config.numerics
     states, clamped = dynamics.simulate_batch(
         num.x0,
@@ -266,31 +268,32 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
             )
     out = out_dir / "paths.csv"
     _write_csv(out, "path_id,step,s,x,clamped", rows)
-    return [str(out)], True
+    return [str(out)], True, {}
 
 
-def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
+def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
     num = config.numerics
-    rows = []
-    for u in np.linspace(0.0, 1.0, num.u_grid_n):
-        est = expected_payoff(
-            num.x0,
-            constant_policy(float(u)),
-            config.model,
-            config.payoff,
-            num.dt,
-            num.n_paths,
-            num.seed,
-        )
-        rows.append(
-            f"{_fmt(u)},{_fmt(est.mean)},{_fmt(est.std_error)},{_fmt(est.invalid_fraction)}"
-        )
+    u_grid = np.linspace(0.0, 1.0, num.u_grid_n)
+    estimates = expected_payoffs(
+        num.x0,
+        [constant_policy(float(u)) for u in u_grid],
+        config.model,
+        config.payoff,
+        num.dt,
+        num.n_paths,
+        num.seed,
+    )
+    rows = [
+        f"{_fmt(u)},{_fmt(est.mean)},{_fmt(est.std_error)},{_fmt(est.invalid_fraction)}"
+        for u, est in zip(u_grid, estimates)
+    ]
     out = out_dir / "sweep.csv"
     _write_csv(out, "u,J_mean,J_stderr,invalid_fraction", rows)
-    return [str(out)], True
+    # one entry per sweep.csv row
+    return [str(out)], True, {"clamp_fraction": [est.clamp_fraction for est in estimates]}
 
 
-def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
+def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
     num = config.numerics
     sg = config.resolved_s_grid()
     xg = num.x_grid
@@ -319,10 +322,10 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
     _write_csv(
         out, "s,x,u_star,u_unclamped,residual,n_candidates,mode_flags,status", rows
     )
-    return [str(out)], True
+    return [str(out)], True, {}
 
 
-def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
+def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
     num = config.numerics
     dens = num.density
     xg = num.x_grid
@@ -336,6 +339,7 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
         dens.u, config.model, config.payoff, config.lagrange, config.modes
     )
     rows = []
+    warnings = []
 
     def snapshot(g: density.DensityGrid) -> None:
         for xi, pi in zip(g.x_grid, g.psi):
@@ -355,14 +359,16 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
             grid = density.schrodinger_step(
                 grid, dens.eps, fields, kernel_exponent_mode=config.modes.kernel_exponent_mode
             )
+        if grid.warning is not None:
+            warnings.append({"step": step_idx, "warning": grid.warning})
         if step_idx % dens.snapshot_stride == 0 or step_idx == dens.n_steps:
             snapshot(grid)
     out = out_dir / "density.csv"
     _write_csv(out, "s,x,psi", rows)
-    return [str(out)], True
+    return [str(out)], True, {"boundary_warnings": warnings}
 
 
-def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
+def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
     num = config.numerics
     tol = num.tolerances
     report = checks.run_all_checks(
@@ -379,7 +385,7 @@ def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool]:
         fh.write("\n")
     for name, suite in sorted(report["suites"].items()):
         print(f"{'PASS' if suite['passed'] else 'FAIL'}: {name}")
-    return [str(out)], bool(report["passed"])
+    return [str(out)], bool(report["passed"]), {}
 
 
 COMMANDS = {
@@ -399,11 +405,13 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     files: list[str] = []
+    diagnostics = {"worker_count": dynamics._worker_count()}
     status = "ok"
     checks_passed: bool | None = None
     error_text: str | None = None
     try:
-        files, ok = COMMANDS[name](config, out)
+        files, ok, found = COMMANDS[name](config, out)
+        diagnostics.update(found)
         if name == "validate":
             checks_passed = ok
             if not ok:
@@ -421,6 +429,7 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
         "config": _config_echo(config),
         "seed": config.numerics.seed,
         "duration_seconds": duration,
+        "diagnostics": diagnostics,
         "files": files,
         "checks_passed": checks_passed,
         "status": status,
@@ -486,6 +495,7 @@ def _write_failure_manifest(command: str, out_dir: str, error_text: str) -> None
             "config": None,
             "seed": None,
             "duration_seconds": 0.0,
+            "diagnostics": {"worker_count": dynamics._worker_count()},
             "files": [],
             "checks_passed": None,
             "status": "config_error",

@@ -13,8 +13,17 @@ independent of batch layout, chunking, and thread count.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and threads.
-The simulators here, `payoff.expected_payoff` and `feynman_kac.fk_estimate`
-are per-step accumulators over those two functions.
+The simulators here, `payoff.expected_payoffs` and
+`feynman_kac.fk_estimate` are per-step accumulators over those two
+functions.
+
+The recursion has a leading control axis: it steps a (k, n_paths) block
+for k policies at once and draws each step's noise once for the block,
+shared by all k rows, so comparing policies uses common random numbers
+literally.  Because the draw depends only on (seed, path, step), every
+row is bit-identical to a run of that policy alone.  A block holds at
+most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS` path-policy pairs
+(16384 paths for one or two policies, 1560 for twenty-one).
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import concurrent.futures
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,9 +42,12 @@ PolicyFn = Callable[[float, np.ndarray], np.ndarray | float]
 
 STEP_TOL = 1e-9
 
-# Paths per block.  Block boundaries depend only on n_paths, never on the
-# worker count.
+# Paths per block, and path-policy pairs per block when several policies
+# share one; the pair cap bounds each worker's working set.  Block
+# boundaries depend only on n_paths and the number of policies, never on
+# the worker count.
 _BLOCK_PATHS = 16384
+_BLOCK_ELEMS = 32768
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -140,14 +152,9 @@ def n_steps_for(horizon: float, dt: float) -> int:
     return n
 
 
-def _as_control_array(value: np.ndarray | float, n: int) -> np.ndarray:
-    u = np.clip(np.asarray(value, dtype=np.float64), 0.0, 1.0)
-    return np.broadcast_to(u, (n,))
-
-
 def _em_steps(
     x0: float,
-    policy: PolicyFn,
+    policies: Sequence[PolicyFn],
     model: ModelParams,
     dt: float,
     n_steps: int,
@@ -159,21 +166,27 @@ def _em_steps(
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Step paths [first_path, first_path + n_paths) from x0 at time s0.
 
-    Yields (s_j, x_j, u_j, x_next, hit_j) for j = 0..n_steps-1, where u_j is
-    the policy clipped to [0, 1] and hit_j marks raw updates below 0.  The
-    noise step index j counts from 0 whatever s0 is.  With clamp=False
-    x_next is the raw pre-clamp recursion (moment-law validation).  The
-    yielded arrays are read-only to the caller.
+    Row i of the (len(policies), n_paths) state block follows policies[i];
+    every row sees the same noise draw at each step.  Yields
+    (s_j, x_j, u_j, x_next, hit_j) for j = 0..n_steps-1, all but s_j of
+    that shape, where u_j is the policy clipped to [0, 1] and hit_j marks
+    raw updates below 0.  The noise step index j counts from 0 whatever s0
+    is.  With clamp=False x_next is the raw pre-clamp recursion
+    (moment-law validation).  The yielded arrays are read-only to the
+    caller.
     """
     sqrt_dt = math.sqrt(dt)
-    x = np.full(n_paths, float(x0))
+    x = np.full((len(policies), n_paths), float(x0))
     for j in range(n_steps):
         s_j = s0 + j * dt
-        u = _as_control_array(policy(s_j, x), n_paths)
+        u = np.empty_like(x)
+        for row, policy in enumerate(policies):
+            u[row] = policy(s_j, x[row])
+        np.clip(u, 0.0, 1.0, out=u)
         w = step_normals(seed, first_path, n_paths, j)
         raw = x + _drift_arr(x, u, model) * dt + _diffusion_arr(x, model) * sqrt_dt * w
         hit = raw < 0.0
-        x_next = np.maximum(raw, 0.0) if clamp else raw
+        x_next = np.maximum(raw, 0.0, out=raw) if clamp else raw
         yield s_j, x, u, x_next, hit
         x = x_next
 
@@ -188,16 +201,18 @@ def _worker_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _for_each_chunk(n_paths: int, work: Callable[[int, int], None]) -> None:
+def _for_each_chunk(
+    n_paths: int, work: Callable[[int, int], None], n_policies: int = 1
+) -> None:
     """Call work(lo, hi) on every fixed block of [0, n_paths).
 
-    Blocks run on up to STUBBORN_THREADS threads, or inline when there is
-    only one.  Each call must write only the [lo:hi] slice of arrays its
-    caller owns, so results do not depend on the worker count.
+    A block holds min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies) paths, at
+    least one.  Blocks run on up to STUBBORN_THREADS threads, or inline
+    when there is only one.  Each call must write only the [lo:hi] slice of
+    arrays its caller owns, so results do not depend on the worker count.
     """
-    blocks = [
-        (lo, min(lo + _BLOCK_PATHS, n_paths)) for lo in range(0, n_paths, _BLOCK_PATHS)
-    ]
+    size = max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies))
+    blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     workers = min(_worker_count(), len(blocks))
     if workers <= 1:
         for lo, hi in blocks:
@@ -230,10 +245,10 @@ def simulate_batch(
     states[:, 0] = x0
 
     def work(lo: int, hi: int) -> None:
-        steps = _em_steps(x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp=clamp)
+        steps = _em_steps(x0, [policy], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp)
         for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
-            states[lo:hi, j] = x_next
-            clamped[lo:hi, j] = hit
+            states[lo:hi, j] = x_next[0]
+            clamped[lo:hi, j] = hit[0]
 
     _for_each_chunk(n_paths, work)
     return states, clamped
@@ -261,10 +276,10 @@ def simulate_final(
     def work(lo: int, hi: int) -> None:
         block_clamped = clamp_any[lo:hi]
         for _s, _x, _u, x_next, hit in _em_steps(
-            x0, policy, model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
+            x0, [policy], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
         ):
-            block_clamped |= hit
-        final[lo:hi] = x_next
+            block_clamped |= hit[0]
+        final[lo:hi] = x_next[0]
 
     _for_each_chunk(n_paths, work)
     return final, clamp_any
@@ -284,10 +299,10 @@ def simulate_path(
     states = np.empty(n_steps + 1)
     clamped = np.zeros(n_steps + 1, dtype=bool)
     states[0] = x0
-    steps = _em_steps(x0, policy, model, dt, n_steps, seed, path_index, 1)
+    steps = _em_steps(x0, [policy], model, dt, n_steps, seed, path_index, 1)
     for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
-        states[j] = x_next[0]
-        clamped[j] = hit[0]
+        states[j] = x_next[0, 0]
+        clamped[j] = hit[0, 0]
     times = np.arange(n_steps + 1, dtype=np.float64) * dt
     return Path(seed=seed, dt=dt, times=times, states=states, clamped=clamped)
 

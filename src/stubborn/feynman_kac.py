@@ -62,12 +62,14 @@ def fk_estimate(
         disc = np.ones(m)
         theta_acc = np.zeros(m)
         for s_j, xs, u, x_next, _hit in dynamics._em_steps(
-            x, problem.policy, problem.dynamics, dt, n_steps, seed, lo, m, s0=s
+            x, [problem.policy], problem.dynamics, dt, n_steps, seed, lo, m, s0=s
         ):
+            xs, u = xs[0], u[0]
             theta_acc += np.broadcast_to(problem.Theta(s_j, xs, u), (m,)) * disc * dt
             disc = disc * np.exp(-np.broadcast_to(problem.V(s_j, xs, u), (m,)) * dt)
         totals[lo:hi] = (
-            np.broadcast_to(problem.T_term(problem.horizon, x_next), (m,)) * disc + theta_acc
+            np.broadcast_to(problem.T_term(problem.horizon, x_next[0]), (m,)) * disc
+            + theta_acc
         )
 
     dynamics._for_each_chunk(n_paths, work)

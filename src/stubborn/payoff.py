@@ -7,6 +7,12 @@ omega*e^{-rt}*sqrt(x(t)).  The payoff integral uses a left-endpoint Riemann
 sum on the Euler-Maruyama grid, accumulated step by step over
 `dynamics._em_steps`, the package's only Euler-Maruyama recursion.
 
+`expected_payoffs` estimates J for several policies in one pass: the
+engine steps all of them on one block of paths and draws each step's
+noise once for the block, so the estimates share common random numbers
+and each equals `expected_payoff` with that policy alone, bit for bit.
+Blocks then hold fewer paths (see `dynamics`), which changes no result.
+
 Paths that reach the x = 0 clamp while exercising u > 0 make the cost term
 singular; such paths are flagged invalid and excluded from the estimate,
 with the invalid fraction reported alongside.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -80,34 +87,68 @@ def expected_payoff(
     per (seed, path_index, step_index) and paths are reduced in index
     order.
     """
+    return expected_payoffs(x0, [policy], model, payoff, dt, n_paths, seed)[0]
+
+
+def expected_payoffs(
+    x0: float,
+    policies: Sequence[dynamics.PolicyFn],
+    model: ModelParams,
+    payoff: PayoffParams,
+    dt: float,
+    n_paths: int,
+    seed: int,
+) -> list[PayoffEstimate]:
+    """Monte Carlo estimates of J under each policy, in order.
+
+    Path p sees the same noise under every policy (common random numbers),
+    drawn once per step for all of them; element i equals
+    expected_payoff(x0, policies[i], ...) exactly.
+    """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
+    if not policies:
+        raise ValueError("at least one policy is required")
     n_steps = dynamics.n_steps_for(payoff.horizon, dt)
     k = payoff.c / (payoff.r - payoff.mu_bar)
     bonus = payoff.omega * math.exp(-payoff.r * payoff.horizon)
-    totals = np.empty(n_paths)
-    clamp_flags = np.zeros(n_paths, dtype=bool)
-    invalid = np.zeros(n_paths, dtype=bool)
+    shape = (len(policies), n_paths)
+    totals = np.empty(shape)
+    clamp_flags = np.zeros(shape, dtype=bool)
+    invalid = np.zeros(shape, dtype=bool)
 
     def work(lo: int, hi: int) -> None:
-        running = np.zeros(hi - lo)
-        block_invalid, block_clamped = invalid[lo:hi], clamp_flags[lo:hi]
+        running = np.zeros((len(policies), hi - lo))
+        block_invalid, block_clamped = invalid[:, lo:hi], clamp_flags[:, lo:hi]
         for s_j, x, u, x_next, hit in dynamics._em_steps(
-            x0, policy, model, dt, n_steps, seed, lo, hi - lo
+            x0, policies, model, dt, n_steps, seed, lo, hi - lo
         ):
             at_zero = x <= 0.0
             block_invalid |= at_zero & (u > 0.0)
             # Cost evaluated off the boundary only; x = 0 with u = 0
             # contributes nothing (the linear term vanishes there too).
-            safe_x = np.where(at_zero, 1.0, x)
-            pi = payoff.reward_coeff * x - np.where(
-                at_zero, 0.0, k * u * u / np.sqrt(safe_x)
+            # One expression, so no (policies, paths) temporary outlives
+            # the step.
+            running += (
+                math.exp(-payoff.r * s_j)
+                * (
+                    payoff.reward_coeff * x
+                    - np.where(at_zero, 0.0, k * u * u / np.sqrt(np.where(at_zero, 1.0, x)))
+                )
+                * dt
             )
-            running += math.exp(-payoff.r * s_j) * pi * dt
             block_clamped |= hit
-        totals[lo:hi] = running + bonus * np.sqrt(x_next)
+        totals[:, lo:hi] = running + bonus * np.sqrt(x_next)
 
-    dynamics._for_each_chunk(n_paths, work)
+    dynamics._for_each_chunk(n_paths, work, len(policies))
+    return [_estimate(*rows) for rows in zip(totals, clamp_flags, invalid)]
+
+
+def _estimate(
+    totals: np.ndarray, clamp_flags: np.ndarray, invalid: np.ndarray
+) -> PayoffEstimate:
+    """Reduce one policy's per-path totals and flags, in path order."""
+    n_paths = len(totals)
     valid = ~invalid
     n_valid = int(np.count_nonzero(valid))
     if n_valid == 0:
@@ -150,24 +191,18 @@ def payoff_stationarity(
 ) -> tuple[float, float]:
     """Central finite-difference estimates (dJ/du, d2J/du2) at a constant control.
 
-    The three J evaluations share the same seed (common random numbers), so
-    for deterministic dynamics the differences are exact up to truncation.
+    The three J evaluations come from one `expected_payoffs` call and share
+    every noise draw (common random numbers), so for deterministic dynamics
+    the differences are exact up to truncation.
     """
     if h_u <= 0.0:
         raise ValueError("h_u must be positive")
     if u_center - h_u < 0.0 or u_center + h_u > 1.0:
         raise ValueError("u_center +/- h_u must stay within [0, 1]")
-    j_minus = expected_payoff(
-        x0, constant_policy(u_center - h_u), model, payoff, dt, n_paths, seed
-    ).mean
-    j_center = expected_payoff(
-        x0, constant_policy(u_center), model, payoff, dt, n_paths, seed
-    ).mean
-    j_plus = expected_payoff(
-        x0, constant_policy(u_center + h_u), model, payoff, dt, n_paths, seed
-    ).mean
+    policies = [constant_policy(u) for u in (u_center - h_u, u_center, u_center + h_u)]
+    j_minus, j_center, j_plus = (
+        est.mean for est in expected_payoffs(x0, policies, model, payoff, dt, n_paths, seed)
+    )
     d1 = (j_plus - j_minus) / (2.0 * h_u)
     d2 = (j_plus - 2.0 * j_center + j_minus) / (h_u * h_u)
     return d1, d2
-
-

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stubborn import control, dynamics
-from stubborn.cli import ConfigError, load_config, main, parse_config, run_command
+from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
-from stubborn.payoff import constant_policy
+from stubborn.payoff import constant_policy, expected_payoff
 
 MINIMAL = {
     "model": {"a": 1.0, "sigma1": 0.3, "sigma2": 0.1},
@@ -108,6 +108,57 @@ def test_sweep_row_contract(tmp_path):
     assert len(lines) == 1 + 11
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
+
+
+def test_sweep_matches_per_u_payoff_loop(tmp_path, monkeypatch):
+    # 21 u values take 3120-path blocks, so 3500 paths span two of them
+    monkeypatch.setenv("STUBBORN_THREADS", "2")
+    doc = dict(MINIMAL, numerics=small_numerics(n_paths=3500, u_grid_n=21, x0=0.3))
+    code = main(["sweep", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    config = load_config(write_config(tmp_path, doc))
+    num = config.numerics
+    rows, clamp_fractions = ["u,J_mean,J_stderr,invalid_fraction"], []
+    for u in np.linspace(0.0, 1.0, num.u_grid_n):
+        est = expected_payoff(num.x0, constant_policy(float(u)), config.model,
+                              config.payoff, num.dt, num.n_paths, num.seed)
+        rows.append(
+            f"{_fmt(u)},{_fmt(est.mean)},{_fmt(est.std_error)},{_fmt(est.invalid_fraction)}"
+        )
+        clamp_fractions.append(est.clamp_fraction)
+    assert (tmp_path / "out" / "sweep.csv").read_text() == "\n".join(rows) + "\n"
+    assert any(clamp_fractions), "the grid should reach the clamp"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["clamp_fraction"] == clamp_fractions
+
+
+def test_manifest_diagnostics(tmp_path, monkeypatch):
+    monkeypatch.setenv("STUBBORN_THREADS", "3")
+    doc = dict(
+        MINIMAL,
+        numerics=small_numerics(
+            x_grid={"min": 0.2, "max": 3.0, "n": 33},
+            density={"eps": 0.01, "n_steps": 4, "snapshot_stride": 2, "u": 0.2},
+        ),
+    )
+    cfg_path = write_config(tmp_path, doc)
+    for command in ("simulate", "sweep", "optimize", "density", "validate"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["worker_count"] == 3, command
+    sweep = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["diagnostics"]
+    assert len(sweep["clamp_fraction"]) == 11
+    assert all(0.0 <= f <= 1.0 for f in sweep["clamp_fraction"])
+    # the initial bump sits four widths from the grid edges: every step warns
+    dens = json.loads((tmp_path / "density" / "manifest.json").read_text())["diagnostics"]
+    assert [w["step"] for w in dens["boundary_warnings"]] == [1, 2, 3, 4]
+    assert all("boundary mass fraction" in w["warning"] for w in dens["boundary_warnings"])
+    assert main(["sweep", "--config", str(tmp_path / "missing.json"),
+                 "--out-dir", str(tmp_path / "bad")]) == 2
+    bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert bad["diagnostics"] == {"worker_count": 3}
 
 
 def test_optimize_domain_cells(tmp_path):

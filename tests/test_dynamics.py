@@ -21,7 +21,7 @@ from stubborn.dynamics import (
 )
 from stubborn.feynman_kac import FKProblem, fk_estimate
 from stubborn.model import ModelParams, PayoffParams, State
-from stubborn.payoff import expected_payoff
+from stubborn.payoff import expected_payoff, expected_payoffs
 
 ZERO_POLICY = lambda s, x: 0.0
 
@@ -133,6 +133,56 @@ def test_thread_count_independence(n_paths, block, threads, seed):
             want, got = np.asarray(want), np.asarray(got)
             assert want.dtype == got.dtype, name
             assert np.array_equal(want, got, equal_nan=True), name
+
+
+def same_estimate(a, b):
+    """PayoffEstimate equality, with a NaN field equal to NaN."""
+    return a == b or np.array_equal(
+        dataclasses.astuple(a), dataclasses.astuple(b), equal_nan=True
+    )
+
+
+def make_policy(kind, c):
+    if kind == "constant":
+        return lambda s, x: c
+    return lambda s, x: c - x + s  # state feedback, clipped on both sides
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(["constant", "feedback"]), st.floats(-0.5, 1.5)),
+        max_size=24,
+    ),
+    drain_at=st.integers(0, 24),
+    x0=st.sampled_from([0.0, 0.05, 0.4]),
+    n_paths=st.integers(1, 40),
+    block=st.integers(1, 8),
+    elems=st.integers(1, 64),
+    threads=st.sampled_from(["1", "2"]),
+    seed=st.integers(0, 2**63),
+)
+def test_batched_payoffs_equal_single_policy_runs(
+    specs, drain_at, x0, n_paths, block, elems, threads, seed
+):
+    """expected_payoffs over k policies equals k expected_payoff calls exactly.
+
+    The u = 1 "drain" policy drives paths into the clamp (and, from x0 = 0,
+    makes every path invalid, so the mean is NaN).
+    """
+    specs.insert(drain_at % (len(specs) + 1), ("constant", 1.0))
+    policies = [make_policy(kind, c) for kind, c in specs]
+    args = (ENGINE_MODEL, ENGINE_PAYOFF, 0.05, n_paths, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STUBBORN_THREADS", "1")
+        singles = [expected_payoff(x0, policy, *args) for policy in policies]
+        mp.setattr(dynamics, "_BLOCK_PATHS", block)
+        mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
+        mp.setenv("STUBBORN_THREADS", threads)
+        batched = expected_payoffs(x0, policies, *args)
+    assert len(batched) == len(policies)
+    for spec, want, got in zip(specs, singles, batched):
+        assert same_estimate(want, got), (spec, want, got)
 
 
 def test_noise_is_random_access():

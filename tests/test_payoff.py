@@ -141,6 +141,10 @@ def test_invalid_paths_reported():
     assert est.invalid_fraction > 0.5
     assert est.n_valid == round(est.n_paths * (1.0 - est.invalid_fraction))
     assert math.isfinite(est.mean)
+    # with u = 0 paths still clamp, but the cost stays finite: none is invalid
+    free = expected_payoff(0.01, constant_policy(0.0), model, p, 0.05, 2000, seed=17)
+    assert free.clamp_fraction > 0.5
+    assert free.invalid_fraction == 0.0 and free.n_valid == free.n_paths
 
 
 def test_stationarity_flat_payoff():
