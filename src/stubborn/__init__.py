@@ -58,7 +58,6 @@ from .density import (
     DensityGrid,
     gaussian_integral_closed,
     kernel_step,
-    laplace_coefficients,
     schrodinger_step,
 )
 from .feynman_kac import FKProblem, fk_estimate, fk_pde_residual_check
@@ -104,7 +103,6 @@ __all__ = [
     "DensityGrid",
     "gaussian_integral_closed",
     "kernel_step",
-    "laplace_coefficients",
     "schrodinger_step",
     "FKProblem",
     "fk_estimate",

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .control import (
     closed_form_coeffs,
@@ -46,6 +45,9 @@ class Scenario:
 
 def check_gaussian_identity(quad_rel: float = 1e-8) -> dict:
     """Closed-form Gaussian integral vs adaptive quadrature over the full grid."""
+    # only this suite needs scipy; importing it here keeps it off every other command
+    import scipy.integrate
+
     worst = 0.0
     cases = 0
     for q in GAUSSIAN_GRID["q"]:

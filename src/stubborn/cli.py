@@ -107,17 +107,24 @@ def _section(raw: dict, key: str, name: str, required: bool = False) -> dict:
 
 
 def _number(section: dict, section_name: str, field: str, default=None, kind=float):
-    """section[field] converted by kind (float or int); required unless a default is given."""
+    """section[field] converted by kind (float or int); required unless a default is given.
+
+    A JSON boolean is not a number, and an int field takes only integral
+    values: nothing is silently truncated or cast.
+    """
     if field not in section:
         if default is None:
             raise ConfigError(f"{section_name}.{field} required")
         return default
+    value = section[field]
+    noun = "an integer" if kind is int else "a number"
+    error = ConfigError(f"{section_name}.{field} must be {noun}, got {value!r}")
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+        raise error
     try:
-        return kind(section[field])
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"{section_name}.{field} must be a number, got {section[field]!r}"
-        ) from None
+        raise error from None
 
 
 def _build_grid(raw: dict, key: str) -> GridSpec:
@@ -193,6 +200,9 @@ def parse_config(raw: dict) -> RunConfig:
     n_raw = _section(raw, "numerics", "numerics")
     tol_raw = _section(n_raw, "tolerances", "numerics.tolerances")
     dens_raw = _section(n_raw, "density", "numerics.density")
+    gradient_correction = dens_raw.get("gradient_correction", False)
+    if not isinstance(gradient_correction, bool):
+        raise ConfigError("numerics.density.gradient_correction must be true or false")
     numerics = Numerics(
         dt=_number(n_raw, "numerics", "dt", 0.01),
         n_paths=_number(n_raw, "numerics", "n_paths", 1000, int),
@@ -212,7 +222,7 @@ def parse_config(raw: dict) -> RunConfig:
             snapshot_stride=_number(dens_raw, "numerics.density", "snapshot_stride", 5, int),
             u=_number(dens_raw, "numerics.density", "u", 0.2),
             step=str(dens_raw.get("step", "schrodinger")),
-            gradient_correction=bool(dens_raw.get("gradient_correction", False)),
+            gradient_correction=gradient_correction,
         ),
     )
     validate_params(model, payoff, lagrange)
@@ -397,6 +407,36 @@ COMMANDS = {
 }
 
 
+def _write_manifest(
+    out: FsPath,
+    command: str,
+    config: RunConfig | None,
+    status: str,
+    error: str | None,
+    duration: float = 0.0,
+    files: list[str] | None = None,
+    checks_passed: bool | None = None,
+    diagnostics: dict | None = None,
+) -> None:
+    """Write out/manifest.json; config is None when it never parsed."""
+    manifest = {
+        "artifact_version": __version__,
+        "command": command,
+        "config": None if config is None else dataclasses.asdict(config),
+        "seed": None if config is None else config.numerics.seed,
+        "duration_seconds": duration,
+        "diagnostics": diagnostics or {"worker_count": dynamics._worker_count()},
+        "files": files or [],
+        "checks_passed": checks_passed,
+        "status": status,
+        "error": error,
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     """Dispatch one command, writing outputs and a manifest under out_dir."""
     if name not in COMMANDS:
@@ -422,23 +462,10 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced via manifest + exit code
         status = "error"
         error_text = f"{type(exc).__name__}: {exc}"
-    duration = time.perf_counter() - started
-    manifest = {
-        "artifact_version": __version__,
-        "command": name,
-        "config": _config_echo(config),
-        "seed": config.numerics.seed,
-        "duration_seconds": duration,
-        "diagnostics": diagnostics,
-        "files": files,
-        "checks_passed": checks_passed,
-        "status": status,
-        "error": error_text,
-    }
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_manifest(
+        out, name, config, status, error_text, duration=time.perf_counter() - started,
+        files=files, checks_passed=checks_passed, diagnostics=diagnostics,
+    )
     if status == "ok":
         return 0
     if status == "config_error":
@@ -447,11 +474,6 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     if error_text:
         print(f"error: {error_text}", file=sys.stderr)
     return 1
-
-
-def _config_echo(config: RunConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    return echo
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -478,34 +500,14 @@ def main(argv: list[str] | None = None) -> int:
         _validate_numerics(num, config.payoff.horizon)
         config = dataclasses.replace(config, numerics=num)
     except (ConfigError, ParameterError) as exc:
-        _write_failure_manifest(args.command, args.out_dir, str(exc))
+        # a manifest is emitted even when the config never parsed
+        try:
+            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc))
+        except OSError:
+            pass
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run_command(args.command, config, args.out_dir)
-
-
-def _write_failure_manifest(command: str, out_dir: str, error_text: str) -> None:
-    """A manifest is emitted even when the config never parsed."""
-    try:
-        out = FsPath(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "artifact_version": __version__,
-            "command": command,
-            "config": None,
-            "seed": None,
-            "duration_seconds": 0.0,
-            "diagnostics": {"worker_count": dynamics._worker_count()},
-            "files": [],
-            "checks_passed": None,
-            "status": "config_error",
-            "error": error_text,
-        }
-        with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError:
-        pass
 
 
 if __name__ == "__main__":

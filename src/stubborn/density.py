@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lagrangian import DerivativeBundle, derivatives
+from .lagrangian import _partials, _require_positive_x
 from .model import LagrangeParams, ModeFlags, ModelParams, PayoffParams, State
 
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -33,10 +33,6 @@ NORMALIZATION_TOL = 1e-9
 
 # fields(s, x_grid) -> (f, f_x, f_xx) arrays over the grid
 FieldFn = Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-class DegenerateLaplaceError(ValueError):
-    """Laplace expansion requested where f_xx vanishes."""
 
 
 class KernelError(ValueError):
@@ -94,26 +90,6 @@ def gaussian_integral_closed(q: float, lambda_coef: float, eps: float, beta_pow:
     return math.exp(exponent) * math.sqrt(eps * math.pi * beta_pow / q)
 
 
-def laplace_from_bundle(bundle: DerivativeBundle) -> tuple[float, float]:
-    """(a, b) = (f_xx / 2, f_x) of the local quadratic model."""
-    if bundle.f_xx == 0.0:
-        raise DegenerateLaplaceError("degenerate Laplace expansion")
-    return 0.5 * bundle.f_xx, bundle.f_x
-
-
-def laplace_coefficients(
-    state: State,
-    u: float,
-    model: ModelParams,
-    payoff: PayoffParams,
-    lagrange: LagrangeParams,
-    modes: ModeFlags = ModeFlags(),
-) -> tuple[float, float]:
-    """(a, b) at (s, x, u) under the selected derivative mode."""
-    bundle = derivatives(state, u, model, payoff, lagrange, mode=modes.derivative_mode)
-    return laplace_from_bundle(bundle)
-
-
 def model_fields(
     u: float,
     model: ModelParams,
@@ -122,38 +98,44 @@ def model_fields(
     modes: ModeFlags = ModeFlags(),
     Mbar: float | None = None,
 ) -> FieldFn:
-    """FieldFn that evaluates (f, f_x, f_xx) of the model Lagrangian at fixed u."""
+    """FieldFn that evaluates (f, f_x, f_xx) of the model Lagrangian at fixed u.
+
+    One array evaluation per call; each value equals a per-point
+    :func:`stubborn.lagrangian.derivatives` call bit for bit.
+    """
 
     def fields(s: float, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = len(x_grid)
-        f = np.empty(n)
-        fx = np.empty(n)
-        fxx = np.empty(n)
-        for i, x in enumerate(x_grid):
-            b = derivatives(
-                State(s=s, x=float(x)), u, model, payoff, lagrange,
-                mode=modes.derivative_mode, Mbar=Mbar,
-            )
-            f[i], fx[i], fxx[i] = b.f, b.f_x, b.f_xx
-        return f, fx, fxx
+        x = np.asarray(x_grid, dtype=np.float64)
+        bad = x[~(np.isfinite(x) & (x > 0.0))]
+        # the first point outside (0, inf) raises what derivatives() raises there
+        state = State(s=s, x=float(bad[0] if bad.size else x[0]))
+        _require_positive_x(state.x, u)
+        f, _, f_x, f_xx, _ = _partials(s, x, u, model, payoff, lagrange,
+                                       modes.derivative_mode, Mbar)
+        return f, f_x, f_xx
 
     return fields
 
 
-def _growth_exponent(
-    f: np.ndarray, a: np.ndarray, b: np.ndarray, kernel_exponent_mode: str
-) -> np.ndarray:
-    if kernel_exponent_mode == "rederived":
-        return b * b / (4.0 * a) - f
-    if kernel_exponent_mode == "paper":
-        return b * b / (4.0 * a * a) - f
-    raise ValueError("kernel_exponent_mode must be 'paper' or 'rederived'")
-
-
-def _check_positive_a(a: np.ndarray) -> None:
+def _laplace_terms(
+    grid: DensityGrid, eps: float, fields: FieldFn, kernel_exponent_mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, a, b, E): the grid, a = f_xx/2, b = f_x and the growth exponent."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if not grid.normalized:
+        raise ValueError("input grid must be normalized")
+    x = grid.x_grid
+    f, b, fxx = fields(grid.s, x)
+    a = 0.5 * fxx
     bad = np.flatnonzero(a <= 0.0)
     if bad.size:
         raise KernelError(f"kernel not normalizable at grid point {int(bad[0])}")
+    if kernel_exponent_mode == "rederived":
+        return x, a, b, b * b / (4.0 * a) - f
+    if kernel_exponent_mode == "paper":
+        return x, a, b, b * b / (4.0 * a * a) - f
+    raise ValueError("kernel_exponent_mode must be 'paper' or 'rederived'")
 
 
 def _finish_step(
@@ -191,16 +173,7 @@ def kernel_step(
     gradient correction adds (x - b/(2a)) * dPsi/dx under the same
     multiplier.  The normalizer is numeric: the output integrates to 1.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not grid.normalized:
-        raise ValueError("input grid must be normalized")
-    x = grid.x_grid
-    f, fx, fxx = fields(grid.s, x)
-    a = 0.5 * fxx
-    _check_positive_a(a)
-    b = fx
-    E = _growth_exponent(f, a, b, kernel_exponent_mode)
+    x, a, b, E = _laplace_terms(grid, eps, fields, kernel_exponent_mode)
     # Shift the exponent by its max before exponentiating; the constant is
     # absorbed by the normalizer and protects against overflow.
     mult = np.sqrt(math.pi / (eps * a)) * np.exp(eps * (E - E.max()))
@@ -218,14 +191,6 @@ def schrodinger_step(
     kernel_exponent_mode: str = "rederived",
 ) -> DensityGrid:
     """One exponential-Euler update Psi <- Psi * exp(eps*E), renormalized."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not grid.normalized:
-        raise ValueError("input grid must be normalized")
-    x = grid.x_grid
-    f, fx, fxx = fields(grid.s, x)
-    a = 0.5 * fxx
-    _check_positive_a(a)
-    E = _growth_exponent(f, a, fx, kernel_exponent_mode)
+    x, _, _, E = _laplace_terms(grid, eps, fields, kernel_exponent_mode)
     raw = grid.psi * np.exp(eps * (E - E.max()))
     return _finish_step(raw, x, grid.s + eps)

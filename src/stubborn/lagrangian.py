@@ -18,6 +18,10 @@ Two derivative modes are first-class:
 
 The two modes agree on f and f_u everywhere; their difference on f_x,
 f_xx, f_xu is available in closed form via :func:`derivative_gap`.
+
+The partials live once, in `_partials`, which takes a scalar x or a float64
+array of them: :func:`derivatives` is its checked one-point entry, and
+`density.model_fields` evaluates a whole grid with it in one call.
 """
 
 from __future__ import annotations
@@ -157,42 +161,32 @@ def assemble_f_from_generator(
     return float(D * pi + Mbar + h * l0 + (h_s * l0 + l1 * h) + h_x * mu * l0 + diff_term)
 
 
-def derivatives(
-    state: State,
-    u: float,
-    model: ModelParams,
-    payoff: PayoffParams,
-    lagrange: LagrangeParams,
-    mode: str = "paper",
-    Mbar: float | None = None,
-) -> DerivativeBundle:
-    """f and its partials at (s, x, u) in the requested mode.
+def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams,
+              mode: str, Mbar):
+    """(f, f_u, f_x, f_xx, f_xu) at (s, x, u); x is a float or a float64 array.
 
-    mode="paper" reproduces the published expressions exactly as printed;
-    mode="consistent" returns the exact partials of :func:`hand_coded_f`.
-    The mixed third derivative f_xxu is treated as 0 by the published
-    route and is not stored.
+    The one copy of the partials, shared by :func:`derivatives` (one point)
+    and :func:`stubborn.density.model_fields` (a whole grid).  Checks
+    nothing; a non-array x is evaluated in Python floats, which is faster
+    than numpy scalars and gives the same bits.
     """
-    if mode not in DERIVATIVE_MODES:
-        raise ValueError(f"mode must be one of {DERIVATIVE_MODES}")
-    _require_positive_x(state.x, u)
     if Mbar is None:
-        Mbar = default_terminal_constant(payoff, state.x)
-
-    s, x = state.s, state.x
+        Mbar = default_terminal_constant(payoff, x)
     s2 = model.sigma2
     a = model.a
     D = float(np.exp(-payoff.r * s))
-    E = float(np.exp(s2 * x))
+    E = np.exp(s2 * x)
+    sqx = np.sqrt(x)
+    if not isinstance(x, np.ndarray):
+        E, sqx = float(E), float(sqx)
     k = payoff.c / (payoff.r - payoff.mu_bar)
-    sqx = float(np.sqrt(x))
     x15 = x * sqx
     x25 = x * x * sqx
     mu = a * sqx - s2 * x - u
     sig = model.sigma1 - s2 * x
     l0, l1 = lagrange.l0, lagrange.l1
 
-    f = float(_f_core(s, x, u, model, payoff, lagrange, Mbar))
+    f = _f_core(s, x, u, model, payoff, lagrange, Mbar)
     f_u = -2.0 * k * u * D / sqx - s2 * E * l0
 
     if mode == "consistent":
@@ -240,8 +234,30 @@ def derivatives(
             + 0.5 * sig * sig * s2**4 * E
         )
         f_xu = -k * u * D / x15
+    return f, f_u, f_x, f_xx, f_xu
 
-    return DerivativeBundle(f=f, f_u=float(f_u), f_x=float(f_x), f_xx=float(f_xx),
+
+def derivatives(
+    state: State,
+    u: float,
+    model: ModelParams,
+    payoff: PayoffParams,
+    lagrange: LagrangeParams,
+    mode: str = "paper",
+    Mbar: float | None = None,
+) -> DerivativeBundle:
+    """f and its partials at (s, x, u) in the requested mode.
+
+    mode="paper" reproduces the published expressions exactly as printed;
+    mode="consistent" returns the exact partials of :func:`hand_coded_f`.
+    The mixed third derivative f_xxu is treated as 0 by the published
+    route and is not stored.
+    """
+    if mode not in DERIVATIVE_MODES:
+        raise ValueError(f"mode must be one of {DERIVATIVE_MODES}")
+    _require_positive_x(state.x, u)
+    f, f_u, f_x, f_xx, f_xu = _partials(state.s, state.x, u, model, payoff, lagrange, mode, Mbar)
+    return DerivativeBundle(f=float(f), f_u=float(f_u), f_x=float(f_x), f_xx=float(f_xx),
                             f_xu=float(f_xu), mode=mode)
 
 

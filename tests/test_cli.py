@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stubborn
 from stubborn import control, dynamics
 from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
@@ -302,6 +307,11 @@ def test_usage_errors_exit_2(tmp_path):
         ("simulate", dict(MINIMAL, model=dict(MINIMAL["model"], a="x"))),
         ("simulate", dict(MINIMAL, numerics=small_numerics(dt=0.3))),
         ("density", dict(MINIMAL, numerics=small_numerics(density={"snapshot_stride": 0}))),
+        # no silent casts: bool("false") is True, int() truncates, True is 1.0
+        ("density", dict(MINIMAL, numerics=small_numerics(density={"gradient_correction": "false"}))),
+        ("simulate", dict(MINIMAL, numerics=small_numerics(n_paths=1000.7))),
+        ("density", dict(MINIMAL, numerics=small_numerics(density={"n_steps": 20.5}))),
+        ("simulate", dict(MINIMAL, model=dict(MINIMAL["model"], a=True))),
     ]
     for i, (command, doc) in enumerate(malformed):
         case_out = tmp_path / f"malformed{i}"
@@ -309,6 +319,18 @@ def test_usage_errors_exit_2(tmp_path):
                      "--out-dir", str(case_out)]) == 2, doc
         manifest = json.loads((case_out / "manifest.json").read_text())
         assert manifest["status"] == "config_error", doc
+    # an integral JSON number still fills an int field
+    assert parse_config(dict(MINIMAL, numerics=small_numerics(n_paths=16.0))).numerics.n_paths == 16
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only validate's quadrature suite needs scipy, and it imports it itself
+    src = str(Path(stubborn.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, stubborn.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 def test_run_command_rejects_unknown():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stubborn.control import (
+    ClosedFormCoeffs,
     ClosedFormDomainError,
+    _solve_quadratic_stable,
     closed_form_coeffs,
     nash_residual,
     nash_residual_scale,
@@ -182,6 +185,30 @@ def test_quartic_roots_satisfy_polynomial():
         scale = cf.coefficient_scale()
         for z in solve_quartic(cf, "rederived"):
             assert abs(cf.polynomial_residual(z)) <= 1e-9 * scale
+
+
+def _coefficient():
+    """0, or a magnitude in [0.01, 10] of either sign."""
+    signed = st.builds(lambda m, sign: sign * m, st.floats(0.01, 10.0), st.sampled_from([-1.0, 1.0]))
+    return st.just(0.0) | signed
+
+
+@settings(max_examples=30, deadline=None)
+@given(A3=_coefficient(), k1=_coefficient(), k2=_coefficient(), k3=_coefficient(),
+       k4=_coefficient())
+def test_stable_quadratic_roots_pass_residual_certificate(A3, k1, k2, k3, k4):
+    # every root of the expanded quadratic satisfies the factored polynomial
+    # k1*(k2*z + A3)^2 - k3*z + k4 to rounding of its own terms
+    cf = ClosedFormCoeffs(A1=0.0, A2=0.0, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
+    a, b, c = cf.quadratic_coeffs()
+    roots = _solve_quadratic_stable(a, b, c)
+    assert roots == sorted(roots)
+    if a != 0.0 and b * b - 4.0 * a * c >= 0.0:
+        assert len(roots) == 2
+    for z in roots:
+        t = abs(k2 * z) + abs(A3)
+        size = abs(k1) * t * t + abs(k3 * z) + abs(k4)
+        assert abs(cf.polynomial_residual(z)) <= 1e-12 * size
 
 
 def test_printed_formula_diverges_generically():

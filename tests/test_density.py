@@ -3,21 +3,27 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from stubborn.density import (
-    DegenerateLaplaceError,
     DensityGrid,
     KernelError,
     gaussian_density_grid,
     gaussian_integral_closed,
     kernel_step,
-    laplace_coefficients,
-    laplace_from_bundle,
     model_fields,
     schrodinger_step,
 )
-from stubborn.lagrangian import DerivativeBundle, derivative_gap, derivatives
-from stubborn.model import LagrangeParams, ModeFlags, ModelParams, PayoffParams, State
+from stubborn.lagrangian import SingularCostError, derivatives
+from stubborn.model import (
+    DERIVATIVE_MODES,
+    LagrangeParams,
+    ModeFlags,
+    ModelParams,
+    ParameterError,
+    PayoffParams,
+    State,
+)
 
 NO_LAG = LagrangeParams()
 
@@ -68,35 +74,62 @@ def test_gaussian_integral_rejects_nonpositive(bad):
         gaussian_integral_closed(**bad)
 
 
-def test_laplace_from_synthetic_bundle():
-    bundle = DerivativeBundle(f=0.0, f_u=0.0, f_x=3.0, f_xx=2.0, f_xu=0.0, mode="consistent")
-    assert laplace_from_bundle(bundle) == (1.0, 3.0)
-    flat = DerivativeBundle(f=0.0, f_u=0.0, f_x=3.0, f_xx=0.0, f_xu=0.0, mode="consistent")
-    with pytest.raises(DegenerateLaplaceError, match="degenerate Laplace expansion"):
-        laplace_from_bundle(flat)
-
-
 def test_laplace_degenerate_at_zero_control_flat_model():
     # u = 0, sigma2 = 0 in the published mode leaves f_xx = 0: the expansion
-    # has no quadratic term and the error path triggers.
+    # has no quadratic term and a density step refuses to take it.
     p = PayoffParams(theta=1.0, alpha1=0.0, alpha2=0.0, alpha3=0.0,
                      c=1.0, r=0.5, mu_bar=0.0, omega=1.0, horizon=1.0)
     model = ModelParams(a=0.0, sigma1=0.5, sigma2=0.0)
-    with pytest.raises(DegenerateLaplaceError):
-        laplace_coefficients(State(s=0.0, x=1.0), 0.0, model, p, NO_LAG,
-                             ModeFlags(derivative_mode="paper"))
+    fields = model_fields(0.0, model, p, NO_LAG, ModeFlags(derivative_mode="paper"))
+    grid = gaussian_density_grid(np.linspace(0.2, 3.0, 33), 1.6, 0.35)
+    for step_fn in (kernel_step, schrodinger_step):
+        with pytest.raises(KernelError, match="kernel not normalizable at grid point 0"):
+            step_fn(grid, 0.01, fields)
 
 
-def test_laplace_mode_difference_matches_gap():
+@settings(max_examples=30, deadline=None)
+@given(
+    x=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+    s=st.floats(0.0, 2.0),
+    u=st.floats(0.0, 1.0),
+    a=st.floats(0.0, 3.0),
+    sigma1=st.floats(0.0, 1.0),
+    sigma2=st.floats(0.0, 1.5),
+    c=st.floats(0.1, 3.0),
+    r=st.floats(0.1, 1.0),
+    l0=st.floats(-1.0, 1.0),
+    l1=st.floats(-1.0, 1.0),
+    mode=st.sampled_from(DERIVATIVE_MODES),
+    Mbar=st.none() | st.floats(-2.0, 2.0),
+)
+def test_model_fields_equals_per_point_derivatives(x, s, u, a, sigma1, sigma2, c, r,
+                                                    l0, l1, mode, Mbar):
+    # one grid evaluation gives every point's derivatives() values bit for bit
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    p = PayoffParams(theta=1.0, alpha1=0.2, alpha2=0.1, alpha3=0.05,
+                     c=c, r=r, mu_bar=r - 0.3, omega=1.3, horizon=1.5)
+    lag = LagrangeParams(l0=l0, l1=l1)
+    x_grid = np.array(x)
+    f, f_x, f_xx = model_fields(u, model, p, lag, ModeFlags(derivative_mode=mode), Mbar)(s, x_grid)
+    points = [derivatives(State(s=s, x=xi), u, model, p, lag, mode=mode, Mbar=Mbar) for xi in x]
+    assert np.array_equal(f, [b.f for b in points])
+    assert np.array_equal(f_x, [b.f_x for b in points])
+    assert np.array_equal(f_xx, [b.f_xx for b in points])
+    assert f.dtype == f_x.dtype == f_xx.dtype == np.float64
+
+
+def test_model_fields_rejects_nonpositive_grid_points():
+    # the errors a per-point derivatives() call raises at the first bad point
     p = PayoffParams(theta=1.0, alpha1=0.1, alpha2=0.1, alpha3=0.1,
-                     c=1.5, r=0.5, mu_bar=0.0, omega=1.0, horizon=1.0)
-    model = ModelParams(a=0.7, sigma1=0.4, sigma2=0.6)
-    st, u = State(s=0.2, x=1.1), 0.5
-    a_pap, b_pap = laplace_coefficients(st, u, model, p, NO_LAG, ModeFlags(derivative_mode="paper"))
-    a_con, b_con = laplace_coefficients(st, u, model, p, NO_LAG, ModeFlags(derivative_mode="consistent"))
-    gap_fx, gap_fxx, _ = derivative_gap(st, u, model, p, NO_LAG)
-    assert a_pap - a_con == pytest.approx(0.5 * gap_fxx, rel=1e-12)
-    assert b_pap - b_con == pytest.approx(gap_fx, rel=1e-12)
+                     c=1.0, r=0.5, mu_bar=0.0, omega=1.0, horizon=1.0)
+    model = ModelParams(a=1.0, sigma1=0.3, sigma2=0.4)
+    zero = np.array([0.5, 0.0, 1.0])
+    with pytest.raises(SingularCostError, match="cost singular at x=0"):
+        model_fields(0.2, model, p, NO_LAG)(0.0, zero)
+    with pytest.raises(ValueError, match="x must be positive"):
+        model_fields(0.0, model, p, NO_LAG)(0.0, zero)
+    with pytest.raises(ParameterError, match="x must be finite and nonnegative"):
+        model_fields(0.2, model, p, NO_LAG)(0.0, np.array([0.5, -0.1, 0.0]))
 
 
 def test_constant_multiplier_is_identity_after_normalization():
@@ -200,6 +233,35 @@ def test_zero_gradient_equivalence():
     assert np.abs(g_k.psi - g_s.psi).max() <= 1e-8
     assert abs(g_k.mass() - 1.0) <= 1e-9
     assert abs(g_s.mass() - 1.0) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(8, 200),
+    lo=st.floats(-3.0, 1.0),
+    width=st.floats(1.0, 6.0),
+    coeffs=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+    a=st.floats(0.05, 5.0),
+    eps=st.floats(1e-3, 0.1),
+    mode=st.sampled_from(["rederived", "paper"]),
+    n_steps=st.integers(1, 3),
+)
+def test_kernel_equals_schrodinger_for_constant_curvature(n, lo, width, coeffs, a, eps,
+                                                          mode, n_steps):
+    # with the gradient term off, a constant a makes the kernel multiplier's
+    # sqrt(pi/(eps*a)) a constant that normalization removes
+    c0, c1, c2, c3 = coeffs
+
+    def fields(s, x):
+        return c0 + c1 * x + c2 * np.sin(x), c3 + c1 * x, np.full_like(x, 2.0 * a)
+
+    x = np.linspace(lo, lo + width, n)
+    g_k = g_s = gaussian_density_grid(x, lo + 0.5 * width, 0.25 * width)
+    for _ in range(n_steps):
+        g_k = kernel_step(g_k, eps, fields, mode, gradient_correction=False)
+        g_s = schrodinger_step(g_s, eps, fields, mode)
+        assert g_k.s == g_s.s
+        np.testing.assert_allclose(g_k.psi, g_s.psi, rtol=1e-12, atol=0.0)
 
 
 def test_gradient_correction_changes_output():
