@@ -1,7 +1,8 @@
 """Command-line interface: config ingestion, dispatch, run manifests.
 
 Commands: simulate | sweep | optimize | density | validate.  Scenarios are
-described by a single JSON config (about twenty parameters); command-line
+described by a single JSON config whose schema is the RunConfig dataclass
+tree (fields, types and defaults; an unknown key is an error); command-line
 flags override top-level numerics only (--seed, --dt, --n-paths,
 --out-dir).  Every command writes a manifest.json naming each emitted file;
 CSV numbers use the shortest round-trip decimal representation so repeated
@@ -19,8 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
+import typing
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -85,60 +89,14 @@ class Numerics:
 class RunConfig:
     model: ModelParams
     payoff: PayoffParams
-    lagrange: LagrangeParams
-    modes: ModeFlags
-    numerics: Numerics
+    lagrange: LagrangeParams = LagrangeParams()
+    modes: ModeFlags = ModeFlags()
+    numerics: Numerics = Numerics()
 
     def resolved_s_grid(self) -> GridSpec:
         if self.numerics.s_grid is not None:
             return self.numerics.s_grid
         return GridSpec(0.0, self.payoff.horizon, 3)
-
-
-def _section(raw: dict, key: str, name: str, required: bool = False) -> dict:
-    """raw[key] as a JSON object ({} when absent and optional)."""
-    if key not in raw:
-        if required:
-            raise ConfigError(f"{name} section required")
-        return {}
-    if not isinstance(raw[key], dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    return raw[key]
-
-
-def _number(section: dict, section_name: str, field: str, default=None, kind=float):
-    """section[field] converted by kind (float or int); required unless a default is given.
-
-    A JSON boolean is not a number, and an int field takes only integral
-    values: nothing is silently truncated or cast.
-    """
-    if field not in section:
-        if default is None:
-            raise ConfigError(f"{section_name}.{field} required")
-        return default
-    value = section[field]
-    noun = "an integer" if kind is int else "a number"
-    error = ConfigError(f"{section_name}.{field} must be {noun}, got {value!r}")
-    if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-        raise error
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise error from None
-
-
-def _build_grid(raw: dict, key: str) -> GridSpec:
-    g = _section(raw, key, key)
-    spec = GridSpec(
-        min=_number(g, key, "min"),
-        max=_number(g, key, "max"),
-        n=_number(g, key, "n", kind=int),
-    )
-    if not spec.min < spec.max:
-        raise ConfigError(f"{key}.min must be below {key}.max")
-    if spec.n < 2:
-        raise ConfigError(f"{key}.n must be at least 2")
-    return spec
 
 
 def _validate_numerics(numerics: Numerics, horizon: float) -> None:
@@ -155,79 +113,83 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
         raise ConfigError("numerics.x0 must be nonnegative")
     if numerics.u_grid_n < 2:
         raise ConfigError("numerics.u_grid_n must be at least 2")
+    for key, grid in (("x_grid", numerics.x_grid), ("s_grid", numerics.s_grid)):
+        if grid is None:
+            continue
+        if not grid.min < grid.max:
+            raise ConfigError(f"numerics.{key}.min must be below numerics.{key}.max")
+        if grid.n < 2:
+            raise ConfigError(f"numerics.{key}.n must be at least 2")
     if numerics.density.snapshot_stride < 1:
         raise ConfigError("numerics.density.snapshot_stride must be at least 1")
     if numerics.density.step not in ("schrodinger", "kernel"):
         raise ConfigError("numerics.density.step must be 'schrodinger' or 'kernel'")
 
 
-def parse_config(raw: dict) -> RunConfig:
-    """Validated RunConfig from a parsed JSON document."""
-    m = _section(raw, "model", "model", required=True)
-    p = _section(raw, "payoff", "payoff", required=True)
-    model = ModelParams(
-        a=_number(m, "model", "a"),
-        sigma1=_number(m, "model", "sigma1"),
-        sigma2=_number(m, "model", "sigma2"),
-    )
-    payoff = PayoffParams(
-        theta=_number(p, "payoff", "theta"),
-        alpha1=_number(p, "payoff", "alpha1"),
-        alpha2=_number(p, "payoff", "alpha2"),
-        alpha3=_number(p, "payoff", "alpha3"),
-        c=_number(p, "payoff", "c"),
-        r=_number(p, "payoff", "r"),
-        mu_bar=_number(p, "payoff", "mu_bar"),
-        omega=_number(p, "payoff", "omega"),
-        horizon=_number(p, "payoff", "horizon"),
-    )
-    lag_raw = _section(raw, "lagrange", "lagrange")
-    lagrange = LagrangeParams(
-        l0=_number(lag_raw, "lagrange", "l0", 0.0),
-        l1=_number(lag_raw, "lagrange", "l1", 0.0),
-    )
-    modes_raw = _section(raw, "modes", "modes")
+def _value(kind, value, where: str):
+    """One JSON value as a field of type kind; where is its dotted config key.
+
+    Nothing is cast silently: a JSON boolean is not a number, a number must
+    be finite, and an int field takes only integral values (16.0 is 16).
+    """
+    if typing.get_args(kind):  # GridSpec | None: a grid given in the config
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        return _parse(kind, value, where)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false")
+        return value
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    noun = "an integer" if kind is int else "a number"
+    error = ConfigError(f"{where} must be {noun}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error
+    if isinstance(value, float) and not (
+        math.isfinite(value) and (kind is float or value.is_integer())
+    ):
+        raise error
     try:
-        modes = ModeFlags(
-            derivative_mode=modes_raw.get("derivative_mode", "paper"),
-            nash_mode=modes_raw.get("nash_mode", "paper"),
-            kernel_exponent_mode=modes_raw.get("kernel_exponent_mode", "rederived"),
-            closed_form_mode=modes_raw.get("closed_form_mode", "rederived"),
-        )
-    except ParameterError as exc:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise error from None
+
+
+def _parse(cls, raw: dict, name: str):
+    """An instance of the dataclass cls from the JSON object found at key name.
+
+    An absent field takes its dataclass default and is required when it has
+    none; a key that names no field is an error.
+    """
+    fields = {field.name: field for field in dataclasses.fields(cls)}
+    prefix = f"{name}." if name else ""
+    for key in raw:
+        if key not in fields:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, field in fields.items():
+        if key in raw:
+            values[key] = _value(hints[key], raw[key], prefix + key)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{prefix}{key} required")
+    try:
+        return cls(**values)
+    except ParameterError as exc:  # ModeFlags checks its names
         raise ConfigError(str(exc)) from exc
 
-    n_raw = _section(raw, "numerics", "numerics")
-    tol_raw = _section(n_raw, "tolerances", "numerics.tolerances")
-    dens_raw = _section(n_raw, "density", "numerics.density")
-    gradient_correction = dens_raw.get("gradient_correction", False)
-    if not isinstance(gradient_correction, bool):
-        raise ConfigError("numerics.density.gradient_correction must be true or false")
-    numerics = Numerics(
-        dt=_number(n_raw, "numerics", "dt", 0.01),
-        n_paths=_number(n_raw, "numerics", "n_paths", 1000, int),
-        seed=_number(n_raw, "numerics", "seed", 42, int),
-        x0=_number(n_raw, "numerics", "x0", 1.0),
-        u_grid_n=_number(n_raw, "numerics", "u_grid_n", 21, int),
-        x_grid=_build_grid(n_raw, "x_grid") if "x_grid" in n_raw else GridSpec(0.2, 3.0, 65),
-        s_grid=_build_grid(n_raw, "s_grid") if "s_grid" in n_raw else None,
-        tolerances=Tolerances(
-            fd_rel=_number(tol_raw, "numerics.tolerances", "fd_rel", 1e-5),
-            residual_rel=_number(tol_raw, "numerics.tolerances", "residual_rel", 1e-6),
-            quad_rel=_number(tol_raw, "numerics.tolerances", "quad_rel", 1e-8),
-        ),
-        density=DensityRun(
-            eps=_number(dens_raw, "numerics.density", "eps", 0.01),
-            n_steps=_number(dens_raw, "numerics.density", "n_steps", 20, int),
-            snapshot_stride=_number(dens_raw, "numerics.density", "snapshot_stride", 5, int),
-            u=_number(dens_raw, "numerics.density", "u", 0.2),
-            step=str(dens_raw.get("step", "schrodinger")),
-            gradient_correction=gradient_correction,
-        ),
-    )
-    validate_params(model, payoff, lagrange)
-    _validate_numerics(numerics, payoff.horizon)
-    return RunConfig(model=model, payoff=payoff, lagrange=lagrange, modes=modes, numerics=numerics)
+
+def parse_config(raw: dict) -> RunConfig:
+    """Validated RunConfig from a parsed JSON document."""
+    config = _parse(RunConfig, raw, "")
+    validate_params(config.model, config.payoff, config.lagrange)
+    _validate_numerics(config.numerics, config.payoff.horizon)
+    return config
 
 
 def load_config(path: str) -> RunConfig:
@@ -247,12 +209,18 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
+def _write_json(path: FsPath, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips (reproducibility contract for CSV)."""
     return repr(float(value))
 
 
-def _write_csv(path: FsPath, header: str, rows: list[str]) -> None:
+def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -270,12 +238,11 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
         num.seed,
         num.n_paths,
     )
-    rows = []
-    for pid in range(states.shape[0]):
-        for k in range(states.shape[1]):
-            rows.append(
-                f"{pid},{k},{_fmt(k * num.dt)},{_fmt(states[pid, k])},{1 if clamped[pid, k] else 0}"
-            )
+    rows = (
+        f"{pid},{k},{_fmt(k * num.dt)},{_fmt(states[pid, k])},{1 if clamped[pid, k] else 0}"
+        for pid in range(states.shape[0])
+        for k in range(states.shape[1])
+    )
     out = out_dir / "paths.csv"
     _write_csv(out, "path_id,step,s,x,clamped", rows)
     return [str(out)], True, {}
@@ -390,9 +357,7 @@ def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
         quad_rel=tol.quad_rel,
     )
     out = out_dir / "report.json"
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, report)
     for name, suite in sorted(report["suites"].items()):
         print(f"{'PASS' if suite['passed'] else 'FAIL'}: {name}")
     return [str(out)], bool(report["passed"]), {}
@@ -432,9 +397,7 @@ def _write_manifest(
         "error": error,
     }
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
@@ -442,7 +405,11 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     if name not in COMMANDS:
         raise ConfigError(f"unknown command '{name}'")
     out = FsPath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out-dir names a file, or cannot be created
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     started = time.perf_counter()
     files: list[str] = []
     diagnostics = {"worker_count": dynamics._worker_count()}

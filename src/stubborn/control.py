@@ -97,6 +97,21 @@ class OptimalControlResult:
             raise ValueError("one residual per candidate required")
 
 
+def _nash_sides(
+    state: State,
+    u: float,
+    model: ModelParams,
+    payoff: PayoffParams,
+    lagrange: LagrangeParams,
+    modes: ModeFlags,
+) -> tuple[float, float]:
+    """(lhs, rhs) of the stationarity condition at (s, x, u) under the selected mode pair."""
+    b = derivatives(state, u, model, payoff, lagrange, mode=modes.derivative_mode)
+    if modes.nash_mode == "paper":
+        return b.f_u * b.f_xx * b.f_xx, 2.0 * b.f_x * b.f_xu
+    return b.f_u * b.f_xx, b.f_x * b.f_xu
+
+
 def nash_residual(
     state: State,
     u: float,
@@ -105,11 +120,9 @@ def nash_residual(
     lagrange: LagrangeParams,
     modes: ModeFlags = ModeFlags(),
 ) -> float:
-    """Stationarity defect at (s, x, u) under the selected mode pair."""
-    b = derivatives(state, u, model, payoff, lagrange, mode=modes.derivative_mode)
-    if modes.nash_mode == "paper":
-        return b.f_u * b.f_xx * b.f_xx - 2.0 * b.f_x * b.f_xu
-    return b.f_u * b.f_xx - b.f_x * b.f_xu
+    """Stationarity defect lhs - rhs at (s, x, u) under the selected mode pair."""
+    lhs, rhs = _nash_sides(state, u, model, payoff, lagrange, modes)
+    return lhs - rhs
 
 
 def nash_residual_scale(
@@ -121,10 +134,8 @@ def nash_residual_scale(
     modes: ModeFlags = ModeFlags(),
 ) -> float:
     """Magnitude scale |lhs| + |rhs| of the stationarity condition at u."""
-    b = derivatives(state, u, model, payoff, lagrange, mode=modes.derivative_mode)
-    if modes.nash_mode == "paper":
-        return abs(b.f_u * b.f_xx * b.f_xx) + abs(2.0 * b.f_x * b.f_xu)
-    return abs(b.f_u * b.f_xx) + abs(b.f_x * b.f_xu)
+    lhs, rhs = _nash_sides(state, u, model, payoff, lagrange, modes)
+    return abs(lhs) + abs(rhs)
 
 
 def closed_form_coeffs(

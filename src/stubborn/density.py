@@ -15,6 +15,11 @@ b^2/(4a) - f (the value the completed square actually produces, confirmed
 by quadrature), "paper" uses b^2/(4a^2) - f as printed.  With the gradient
 term off and a constant over the grid, the two updates agree after
 normalization.
+
+Both updates need a = f_xx/2 > 0 over the grid and raise KernelError
+otherwise.  The published partials (derivative_mode="paper") give f_xx > 0
+on the README config; the calculus-exact ones ("consistent") give f_xx < 0
+there, so neither update runs in that mode on that config.
 """
 
 from __future__ import annotations

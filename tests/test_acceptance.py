@@ -4,13 +4,16 @@ the lines on success)."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stubborn
 from stubborn import checks
 from stubborn.density import gaussian_density_grid, kernel_step, schrodinger_step
 from stubborn.dynamics import simulate_final
@@ -263,6 +266,8 @@ def test_criterion_10_end_to_end_reproducibility(tmp_path):
         }
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
+        # the child imports the package the tests import, installed or not
+        env = {**os.environ, "PYTHONPATH": str(Path(stubborn.__file__).resolve().parent.parent)}
         payloads = {}
         for run in ("a", "b"):
             out = tmp_path / run
@@ -272,6 +277,7 @@ def test_criterion_10_end_to_end_reproducibility(tmp_path):
                      "--config", str(cfg), "--out-dir", str(out / command)],
                     capture_output=True,
                     text=True,
+                    env=env,
                 )
                 assert proc.returncode == 0, proc.stderr
                 payloads[(run, artifact)] = (out / command / artifact).read_bytes()

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import stubborn
 from stubborn import control, dynamics
@@ -20,6 +24,27 @@ MINIMAL = {
         "c": 1.0, "r": 0.5, "mu_bar": 0.0, "omega": 1.0, "horizon": 1.0,
     },
 }
+
+
+def readme_config():
+    """The full JSON config printed in the README's CLI section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+# keys that may be left out of a config, as paths into the README config
+OPTIONAL_KEYS = [
+    ("lagrange",), ("lagrange", "l0"), ("lagrange", "l1"),
+    ("modes",), ("modes", "derivative_mode"), ("modes", "nash_mode"),
+    ("modes", "kernel_exponent_mode"), ("modes", "closed_form_mode"),
+    ("numerics",), ("numerics", "dt"), ("numerics", "n_paths"), ("numerics", "seed"),
+    ("numerics", "x0"), ("numerics", "u_grid_n"), ("numerics", "x_grid"), ("numerics", "s_grid"),
+    ("numerics", "tolerances"), ("numerics", "tolerances", "fd_rel"),
+    ("numerics", "tolerances", "residual_rel"), ("numerics", "tolerances", "quad_rel"),
+    ("numerics", "density"), ("numerics", "density", "eps"), ("numerics", "density", "n_steps"),
+    ("numerics", "density", "snapshot_stride"), ("numerics", "density", "u"),
+    ("numerics", "density", "step"),
+]
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -49,6 +74,45 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert cfg.modes.closed_form_mode == "rederived"
     assert cfg.numerics.dt == 0.01
     assert cfg.numerics.tolerances.fd_rel == 1e-5
+    # the README spells out every default, and s_grid as the resolved one
+    resolved = dataclasses.replace(cfg.numerics, s_grid=cfg.resolved_s_grid())
+    assert parse_config(readme_config()) == dataclasses.replace(cfg, numerics=resolved)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    section=st.sampled_from([
+        (), ("model",), ("payoff",), ("lagrange",), ("modes",), ("numerics",),
+        ("numerics", "x_grid"), ("numerics", "s_grid"),
+        ("numerics", "tolerances"), ("numerics", "density"),
+    ]),
+    key=st.text(min_size=1, max_size=12),
+)
+def test_unknown_key_is_named(section, key):
+    doc = readme_config()
+    target = reduce(lambda d, k: d[k], section, doc)
+    assume(key not in target)
+    target[key] = 1.0
+    dotted = ".".join(section + (key,))
+    with pytest.raises(ConfigError, match=re.escape(f"unknown config key '{dotted}'")):
+        parse_config(doc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dropped=st.sets(st.sampled_from(OPTIONAL_KEYS)))
+def test_dropped_keys_take_dataclass_defaults(dropped):
+    doc = readme_config()
+    for path in dropped:
+        parent = reduce(lambda d, k: d.get(k, {}), path[:-1], doc)
+        parent.pop(path[-1], None)
+    cfg = parse_config(doc)
+    full = parse_config(readme_config())
+    defaults = parse_config(MINIMAL)
+    leaves = [p for p in OPTIONAL_KEYS if not any(q[:len(p)] == p != q for q in OPTIONAL_KEYS)]
+    for path in leaves:
+        gone = any(path[:n] in dropped for n in range(1, len(path) + 1))
+        expected = reduce(getattr, path, defaults if gone else full)
+        assert reduce(getattr, path, cfg) == expected, path
 
 
 def test_missing_required_field(tmp_path):
@@ -312,6 +376,15 @@ def test_usage_errors_exit_2(tmp_path):
         ("simulate", dict(MINIMAL, numerics=small_numerics(n_paths=1000.7))),
         ("density", dict(MINIMAL, numerics=small_numerics(density={"n_steps": 20.5}))),
         ("simulate", dict(MINIMAL, model=dict(MINIMAL["model"], a=True))),
+        # a misspelled key or section is an error, never a silent default
+        ("simulate", dict(MINIMAL, numerics=dict(small_numerics(), n_path=100000))),
+        ("simulate", dict(MINIMAL, numeric=small_numerics())),
+        # numbers are finite JSON numbers; strings are JSON strings
+        ("simulate", dict(MINIMAL, numerics=small_numerics(dt="0.01"))),
+        ("simulate", dict(MINIMAL, numerics=small_numerics(x0=float("nan")))),
+        ("density", dict(MINIMAL, numerics=small_numerics(density={"eps": float("inf")}))),
+        ("density", dict(MINIMAL, numerics=small_numerics(density={"step": 5}))),
+        ("optimize", dict(MINIMAL, modes={"nash_mode": 1})),
     ]
     for i, (command, doc) in enumerate(malformed):
         case_out = tmp_path / f"malformed{i}"
@@ -319,6 +392,11 @@ def test_usage_errors_exit_2(tmp_path):
                      "--out-dir", str(case_out)]) == 2, doc
         manifest = json.loads((case_out / "manifest.json").read_text())
         assert manifest["status"] == "config_error", doc
+    # an --out-dir that names a file is a usage error, not a traceback
+    not_a_dir = tmp_path / "file.txt"
+    not_a_dir.write_text("")
+    assert main(["sweep", "--config", write_config(tmp_path, MINIMAL, "ok.json"),
+                 "--out-dir", str(not_a_dir)]) == 2
     # an integral JSON number still fills an int field
     assert parse_config(dict(MINIMAL, numerics=small_numerics(n_paths=16.0))).numerics.n_paths == 16
 
