@@ -129,7 +129,6 @@ def check_finite_differences(
             sc.lagrange,
             mode="consistent",
             step=1e-3,
-            richardson=True,
         )
         worst_fd = max(worst_fd, report.max_error())
         # The published mode is reported per the interface but not gated:
@@ -142,7 +141,6 @@ def check_finite_differences(
             sc.lagrange,
             mode="paper",
             step=1e-3,
-            richardson=True,
         )
         worst_fd_published = max(worst_fd_published, published.max_error())
 

@@ -34,7 +34,7 @@ from .model import (
     State,
     clamp_control,
 )
-from .payoff import constant_policy, expected_payoff
+from .payoff import constant_policy, expected_payoffs
 
 X_MIN = 1e-6
 BISECT_WIDTH = 1e-10
@@ -313,10 +313,14 @@ def optimal_stubbornness(
 
     Builds the coefficients, solves for z = u^2 in the selected mode, maps
     nonnegative z to u = +sqrt(z), and clamps the selection into [0, 1].
-    When several nonnegative candidates exist, each is ranked by a
-    constant-control payoff estimate over the remaining horizon (common
-    seed), ties toward the smaller u.  With no nonnegative real root the
-    trivial solution u = 0 is reported.
+    When several nonnegative candidates exist and at least dt/2 of the
+    horizon remains, one `expected_payoffs` call ranks them by their
+    constant-control payoff over the remaining horizon (common random
+    numbers); a candidate wins only with a strictly larger mean, so ties
+    go to the smaller u and a NaN mean never wins.  If no candidate has a
+    valid ranking path, the smallest is reported with the status
+    "no valid ranking path".  With no nonnegative real root the trivial
+    solution u = 0 is reported.
     """
     if state.s > payoff.horizon:
         raise ParameterError("s must not exceed horizon")
@@ -349,25 +353,17 @@ def optimal_stubbornness(
 
     if not candidates:
         return result(0.0, "trivial root only")
-    if len(candidates) == 1:
-        return result(candidates[0], "ok")
-
     remaining = payoff.horizon - state.s
-    n_rem = max(1, round(remaining / dt))
-    if remaining < dt / 2.0:
+    if len(candidates) == 1 or remaining < dt / 2.0:
         return result(min(candidates), "ok")
+    n_rem = max(1, round(remaining / dt))
     payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
-    best_u, best_j = None, -math.inf
-    for cand in sorted(candidates):
-        est = expected_payoff(
-            state.x,
-            constant_policy(clamp_control(cand)),
-            model,
-            payoff_rem,
-            dt,
-            n_paths,
-            seed,
-        )
+    ranked = sorted(candidates)
+    estimates = expected_payoffs(
+        state.x, [constant_policy(u) for u in ranked], model, payoff_rem, dt, n_paths, seed
+    )
+    best_u, best_j = ranked[0], -math.inf
+    for u, est in zip(ranked, estimates):
         if est.mean > best_j:
-            best_u, best_j = cand, est.mean
-    return result(best_u, "ok")
+            best_u, best_j = u, est.mean
+    return result(best_u, "ok" if best_j > -math.inf else "no valid ranking path")

@@ -292,14 +292,13 @@ def simulate_path(
     dt: float,
     horizon: float,
     seed: int,
-    path_index: int = 0,
 ) -> Path:
     """Simulate a single path; bit-reproducible given (seed, dt, x0, params, policy)."""
     n_steps = n_steps_for(horizon, dt)
     states = np.empty(n_steps + 1)
     clamped = np.zeros(n_steps + 1, dtype=bool)
     states[0] = x0
-    steps = _em_steps(x0, [policy], model, dt, n_steps, seed, path_index, 1)
+    steps = _em_steps(x0, [policy], model, dt, n_steps, seed, 0, 1)
     for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
         states[j] = x_next[0, 0]
         clamped[j] = hit[0, 0]

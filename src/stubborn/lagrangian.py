@@ -91,8 +91,7 @@ def _require_positive_x(x: float, u: float) -> None:
         raise ValueError("x must be positive")
 
 
-def _f_core(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams,
-            Mbar, scale_diffusion_by_l0: bool = False):
+def _f_core(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams, Mbar):
     """Dtype-generic evaluation of f; works for float64 and longdouble alike."""
     D = np.exp(-payoff.r * s)
     E = np.exp(model.sigma2 * x)
@@ -101,16 +100,13 @@ def _f_core(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: Lagrang
     mu = model.a * sqx - model.sigma2 * x - u
     sig = model.sigma1 - model.sigma2 * x
     l0, l1 = lagrange.l0, lagrange.l1
-    diff_term = 0.5 * sig * sig * model.sigma2**2 * E
-    if scale_diffusion_by_l0:
-        diff_term = diff_term * l0
     return (
         D * (payoff.reward_coeff * x - k * u * u / sqx)
         + Mbar
         + E * l0
         + l1 * E
         + model.sigma2 * E * mu * l0
-        + diff_term
+        + 0.5 * sig * sig * model.sigma2**2 * E
     )
 
 
@@ -332,16 +328,15 @@ def finite_difference_check(
     mode: str = "consistent",
     step: float = 1e-5,
     Mbar: float | None = None,
-    richardson: bool = False,
 ) -> FDCheckReport:
     """Central-difference validation of derivatives() against f itself.
 
     Stencils run in extended precision (longdouble) so that the second and
     mixed differences are not drowned by float64 cancellation at the
-    requested step size.  With richardson=True each derivative combines the
-    step and half-step stencils, (4*D(h/2) - D(h))/3, cancelling the h^2
-    truncation term; this keeps relative errors tight even where f_xx
-    passes through zero.  A report is always produced; for mode="paper" the
+    requested step size.  Each derivative combines the step and half-step
+    stencils by Richardson extrapolation, (4*D(h/2) - D(h))/3, cancelling
+    the h^2 truncation term; this keeps relative errors tight even where
+    f_xx passes through zero.  A report is always produced; for mode="paper" the
     errors reproduce the analytic mode gap.
     """
     if state.x - step <= 0.0:
@@ -357,12 +352,8 @@ def finite_difference_check(
         return _f_core(s, xv, uv, model, payoff, lagrange, ld(Mbar))
 
     coarse = _central_stencils(F, x, uu, h)
-    if richardson:
-        fine = _central_stencils(F, x, uu, h / 2)
-        fd = tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
-    else:
-        fd = coarse
-    fd_fx, fd_fxx, fd_fu, fd_fxu = fd
+    fine = _central_stencils(F, x, uu, h / 2)
+    fd_fx, fd_fxx, fd_fu, fd_fxu = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
 
     return FDCheckReport(
         mode=mode,

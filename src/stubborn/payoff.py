@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dynamics
 from .lagrangian import SingularCostError
-from .model import ModelParams, PayoffParams, State
+from .model import ModelParams, PayoffParams, State, clamp_control
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def _estimate(
 
 def constant_policy(u: float) -> dynamics.PolicyFn:
     """Policy that applies the same (clamped) control at every (s, x)."""
-    u_clamped = min(max(u, 0.0), 1.0)
+    u_clamped = clamp_control(u)
 
     def policy(s: float, x: np.ndarray) -> float:
         return u_clamped

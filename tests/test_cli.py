@@ -252,14 +252,14 @@ def test_optimize_domain_cells(tmp_path):
 
 
 def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
-    seen = []
-    ranked = control.expected_payoff
+    calls = []
+    ranked = control.expected_payoffs
 
-    def spy(x0, policy, model, payoff, dt, n_paths, seed):
-        seen.append(n_paths)
-        return ranked(x0, policy, model, payoff, dt, n_paths, seed)
+    def spy(x0, policies, model, payoff, dt, n_paths, seed):
+        calls.append((x0, len(policies), n_paths))
+        return ranked(x0, policies, model, payoff, dt, n_paths, seed)
 
-    monkeypatch.setattr(control, "expected_payoff", spy)
+    monkeypatch.setattr(control, "expected_payoffs", spy)
     # these cells have two nonnegative candidates, so both get ranked
     doc = {
         "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
@@ -273,7 +273,11 @@ def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
     code = main(["optimize", "--config", write_config(tmp_path, doc),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 0
-    assert seen and set(seen) == {37}
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "optimize.csv").read_text().strip().split("\n")[1:]]
+    assert len(rows) == 4 and all(row[5] == "2" for row in rows)
+    # one call per cell, carrying both of its candidates
+    assert calls == [(float(row[1]), 2, 37) for row in rows]
 
 
 def test_density_snapshots(tmp_path):

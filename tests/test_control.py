@@ -276,27 +276,65 @@ def test_clamped_control_reported():
     assert root_scan(st, model, p, NO_LAG, PP_MODES) == []
 
 
-def test_two_candidates_ranked_by_payoff():
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    n_paths=st.integers(1, 64),
+    threads=st.sampled_from(["1", "2"]),
+)
+def test_two_candidates_ranked_by_payoff(seed, n_paths, threads):
     # Engineered negative-A3 regime with two z-roots in (0, 1).
     p = pay(theta=0.1, alpha1=5.0, alpha2=5.0, alpha3=4.9, c=1.0)
     model = ModelParams(a=0.3, sigma1=1.7, sigma2=2.0)
-    st = State(s=0.0, x=0.5)
-    res = optimal_stubbornness(st, model, p, NO_LAG, PP_MODES, dt=0.01, n_paths=200, seed=0)
+    state = State(s=0.0, x=0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STUBBORN_THREADS", threads)
+        res = optimal_stubbornness(
+            state, model, p, NO_LAG, PP_MODES, dt=0.01, n_paths=n_paths, seed=seed
+        )
     assert len(res.u_candidates) == 2
     assert res.u_star in res.u_candidates
     # both candidates are exact stationarity roots at s = 0: their reported
     # residuals sit at rounding level relative to the condition's scale
     assert len(res.candidate_residuals) == 2
     for u, r in zip(res.u_candidates, res.candidate_residuals):
-        scale = nash_residual_scale(st, u, model, p, NO_LAG, PP_MODES)
+        scale = nash_residual_scale(state, u, model, p, NO_LAG, PP_MODES)
         assert abs(r) <= 1e-10 * scale
     estimates = {
         u: expected_payoff(
-            st.x, constant_policy(u), model, p, 0.01, 200, 0
+            state.x, constant_policy(u), model, p, 0.01, n_paths, seed
         ).mean
         for u in res.u_candidates
     }
-    assert estimates[res.u_star] == max(estimates.values())
+    # the argmax of the single-candidate means; ties go to the smaller u,
+    # and a NaN mean (every path invalid) never wins
+    finite = {u: j for u, j in estimates.items() if not math.isnan(j)}
+    if finite:
+        best = max(finite.values())
+        assert res.u_star == min(u for u, j in finite.items() if j == best)
+        assert res.reason == "ok"
+    else:
+        assert res.u_star == min(res.u_candidates)
+        assert res.reason == "no valid ranking path"
+
+
+def test_all_invalid_ranking_paths_give_smallest_candidate():
+    # Every ranking path of both candidates reaches the x = 0 clamp while
+    # exercising u > 0, so neither payoff mean is finite.
+    model = ModelParams(a=0.7330293173495849, sigma1=0.02563416560163878,
+                        sigma2=2.4433820856933326)
+    p = pay(theta=0.6824722377542138, alpha1=0.8485150416205114,
+            alpha2=4.705806287514265, alpha3=4.96606056422636,
+            c=0.8469391957841542, omega=0.3814985109883179)
+    lagrange = LagrangeParams(l0=0.08533359382311034, l1=0.0)
+    state = State(s=0.0, x=0.027820771748210814)
+    res = optimal_stubbornness(state, model, p, lagrange, dt=0.01, n_paths=50, seed=0)
+    assert len(res.u_candidates) == 2
+    for u in res.u_candidates:
+        est = expected_payoff(state.x, constant_policy(u), model, p, 0.01, 50, 0)
+        assert math.isnan(est.mean)
+    assert res.u_star == min(res.u_candidates)
+    assert res.reason == "no valid ranking path"
 
 
 def test_scan_finds_both_roots_even_on_coarse_grid():
