@@ -293,17 +293,13 @@ def simulate_path(
     horizon: float,
     seed: int,
 ) -> Path:
-    """Simulate a single path; bit-reproducible given (seed, dt, x0, params, policy)."""
-    n_steps = n_steps_for(horizon, dt)
-    states = np.empty(n_steps + 1)
-    clamped = np.zeros(n_steps + 1, dtype=bool)
-    states[0] = x0
-    steps = _em_steps(x0, [policy], model, dt, n_steps, seed, 0, 1)
-    for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
-        states[j] = x_next[0, 0]
-        clamped[j] = hit[0, 0]
-    times = np.arange(n_steps + 1, dtype=np.float64) * dt
-    return Path(seed=seed, dt=dt, times=times, states=states, clamped=clamped)
+    """Simulate a single path; bit-reproducible given (seed, dt, x0, params, policy).
+
+    The path is row 0 of simulate_batch with one path.
+    """
+    states, clamped = simulate_batch(x0, policy, model, dt, horizon, seed, 1)
+    times = np.arange(states.shape[1], dtype=np.float64) * dt
+    return Path(seed=seed, dt=dt, times=times, states=states[0], clamped=clamped[0])
 
 
 def em_transition_logdensity(

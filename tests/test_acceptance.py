@@ -58,7 +58,7 @@ def test_criterion_1_gaussian_integral_identity():
         suite["passed"],
         1.0,
         t,
-        f"closed form vs quadrature over {suite['cases']} cases, "
+        f"closed form vs trapezoid rule over {suite['cases']} cases, "
         f"max rel err {suite['max_rel_error']:.2e} <= 1e-8",
     )
 

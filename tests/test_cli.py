@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -405,14 +406,41 @@ def test_usage_errors_exit_2(tmp_path):
     assert parse_config(dict(MINIMAL, numerics=small_numerics(n_paths=16.0))).numerics.n_paths == 16
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only validate's quadrature suite needs scipy, and it imports it itself
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the runtime needs numpy only: not even a full validate run loads scipy
     src = str(Path(stubborn.__file__).resolve().parent.parent)
+    doc = dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02))
+    argv = ["validate", "--config", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")]
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, stubborn.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, stubborn.cli; code = stubborn.cli.main({argv!r}); "
+         "print(code, 'scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # every absolute import, lazy ones included, must be covered by the
+    # declared runtime dependency (numpy) or ship with Python
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for source in sorted(Path(stubborn.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{source.name} imports {name}"
+
+
+def test_pyproject_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9._-]+", dep).group().lower() for dep in deps] == ["numpy"]
 
 
 def test_run_command_rejects_unknown():

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from stubborn import checks
 from stubborn.density import (
     DensityGrid,
     KernelError,
@@ -62,6 +63,19 @@ def test_gaussian_integral_vs_quadrature():
         epsrel=1e-12,
     )
     assert closed == pytest.approx(numeric, rel=1e-10)
+
+
+def test_gaussian_identity_suite_is_exact_and_sees_a_wrong_closed_form(monkeypatch):
+    suite = checks.check_gaussian_identity()
+    assert suite["cases"] == 81 and suite["passed"]
+    assert suite["max_rel_error"] <= 1e-12
+    true_closed = checks.gaussian_integral_closed
+    monkeypatch.setattr(
+        checks, "gaussian_integral_closed", lambda *args: (1.0 + 1e-6) * true_closed(*args)
+    )
+    wrong = checks.check_gaussian_identity()
+    assert wrong["passed"] is False
+    assert wrong["max_rel_error"] == pytest.approx(1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("bad", [
