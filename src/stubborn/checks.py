@@ -25,7 +25,7 @@ from .control import (
 )
 from .density import gaussian_integral_closed
 from .feynman_kac import FKProblem, fk_estimate
-from .lagrangian import derivative_gap, derivatives, finite_difference_check
+from .lagrangian import _scaled_error, derivative_gap, derivatives, finite_difference_check
 from .model import LagrangeParams, ModeFlags, ModelParams, PayoffParams, State
 
 GAUSSIAN_GRID = {
@@ -34,6 +34,8 @@ GAUSSIAN_GRID = {
     "eps": (0.01, 0.1, 1.0),
     "beta_pow": (0.5, 1.0, 2.0),
 }
+AGREE_TOL = 1e-3  # closed-form u vs the grid+bisection oracle
+PRINTED_FAIL_FRACTION = 0.9  # printed root formula must diverge this often
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,12 @@ def check_finite_differences(
     fd_rel: float = 1e-5,
     gap_tol: float = 1e-6,
 ) -> dict:
-    """Exact-mode partials vs FD, and published-mode gap vs its closed form."""
+    """Exact-mode partials vs FD, and published-mode gap vs its closed form.
+
+    The FD errors are those of :func:`finite_difference_check`; each gap
+    error is measured against the size of its terms, max(|published|,
+    |exact|, |closed-form gap|) of that partial.
+    """
     rng = np.random.default_rng(seed)
     worst_fd = 0.0
     worst_fd_published = 0.0
@@ -139,10 +146,9 @@ def check_finite_differences(
         bp = derivatives(sc.state, u, sc.model, sc.payoff, sc.lagrange, mode="paper")
         bc = derivatives(sc.state, u, sc.model, sc.payoff, sc.lagrange, mode="consistent")
         gaps = derivative_gap(sc.state, u, sc.model, sc.payoff, sc.lagrange)
-        measured = (bp.f_x - bc.f_x, bp.f_xx - bc.f_xx, bp.f_xu - bc.f_xu)
-        for got, want in zip(measured, gaps):
-            denom = max(abs(got), abs(want))
-            err = abs(got - want) / denom if denom > 1e-12 else abs(got - want)
+        pairs = ((bp.f_x, bc.f_x), (bp.f_xx, bc.f_xx), (bp.f_xu, bc.f_xu))
+        for (published, exact), want in zip(pairs, gaps):
+            err = _scaled_error(published - exact, want, max(abs(published), abs(exact)))
             worst_gap = max(worst_gap, err)
     return {
         "name": "derivative_consistency",
@@ -232,18 +238,16 @@ def collect_root_scenarios(n: int, seed: int) -> list[Scenario]:
 def check_root_residuals(
     n_scenarios: int = 50,
     seed: int = 11,
-    agree_tol: float = 1e-3,
     residual_rel: float = 1e-6,
-    printed_fail_fraction: float = 0.9,
 ) -> dict:
     """Closed form vs grid+bisection oracle, and printed-formula divergence.
 
-    For each scenario: |u_closed - u_scan| <= agree_tol, the residual
+    For each scenario: |u_closed - u_scan| <= AGREE_TOL, the residual
     certificate holds at u*, and the exact-expansion roots satisfy the
     polynomial to 1e-9 of the coefficient scale.  The printed two-branch
     root formula is then evaluated verbatim and its polynomial residual
     recorded; it is expected to fail the certificate on at least
-    printed_fail_fraction of the scenarios.
+    PRINTED_FAIL_FRACTION of the scenarios.
     """
     modes = ModeFlags(derivative_mode="paper", nash_mode="paper", closed_form_mode="rederived")
     scenarios = collect_root_scenarios(n_scenarios, seed)
@@ -301,22 +305,22 @@ def check_root_residuals(
         "name": "root_residuals",
         "scenarios": n_scenarios,
         "max_closed_vs_scan": worst_agree,
-        "agree_tolerance": agree_tol,
+        "agree_tolerance": AGREE_TOL,
         "max_certificate_ratio": worst_cert,
         "certificate_tolerance": residual_rel,
         "max_polynomial_residual_ratio": worst_poly,
         "printed_formula_fail_fraction": fail_frac,
         "printed_formula_records": printed_records,
         "passed": bool(
-            worst_agree <= agree_tol
+            worst_agree <= AGREE_TOL
             and worst_cert <= residual_rel
             and worst_poly <= 1e-9
-            and fail_frac >= printed_fail_fraction
+            and fail_frac >= PRINTED_FAIL_FRACTION
         ),
     }
 
 
-def check_fk_cases(dt: float = 0.01, n_paths: int = 10000, seed: int = 5) -> dict:
+def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
     """Frozen-dynamics discount case (exact) and driftless stochastic case (3 SE)."""
     frozen = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
     policy = lambda s, x: 0.0
@@ -358,12 +362,7 @@ def check_fk_cases(dt: float = 0.01, n_paths: int = 10000, seed: int = 5) -> dic
 
 
 def run_all_checks(
-    n_paths: int = 10000,
-    dt: float = 0.01,
-    seed: int = 42,
-    fd_rel: float = 1e-5,
-    residual_rel: float = 1e-6,
-    quad_rel: float = 1e-8,
+    n_paths: int, dt: float, seed: int, fd_rel: float, residual_rel: float, quad_rel: float
 ) -> dict:
     """Every suite, keyed by name, plus an overall pass flag."""
     suites = [

@@ -120,9 +120,16 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
             raise ConfigError(f"numerics.{key}.min must be below numerics.{key}.max")
         if grid.n < 2:
             raise ConfigError(f"numerics.{key}.n must be at least 2")
-    if numerics.density.snapshot_stride < 1:
+    dens = numerics.density
+    if dens.eps <= 0.0:
+        raise ConfigError("numerics.density.eps must be positive")
+    if dens.n_steps < 1:
+        raise ConfigError("numerics.density.n_steps must be at least 1")
+    if dens.snapshot_stride < 1:
         raise ConfigError("numerics.density.snapshot_stride must be at least 1")
-    if numerics.density.step not in ("schrodinger", "kernel"):
+    if not 0.0 <= dens.u <= 1.0:
+        raise ConfigError("numerics.density.u must lie in [0, 1]")
+    if dens.step not in ("schrodinger", "kernel"):
         raise ConfigError("numerics.density.step must be 'schrodinger' or 'kernel'")
 
 
@@ -308,6 +315,8 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, di
     xg = num.x_grid
     if xg.min <= 0.0:
         raise ConfigError("density requires x_grid.min > 0 (f is singular at x = 0)")
+    if xg.n < 4:
+        raise ConfigError("density requires x_grid.n >= 4 (the density grid's minimum)")
     x = np.linspace(xg.min, xg.max, xg.n)
     grid = density.gaussian_density_grid(
         x, center=0.5 * (xg.min + xg.max), width=(xg.max - xg.min) / 8.0

@@ -77,13 +77,9 @@ class ClosedFormCoeffs:
 class OptimalControlResult:
     z_roots: tuple[float, ...]
     u_candidates: tuple[float, ...]
-    candidate_residuals: tuple[float, ...]
     u_star: float
     u_unclamped: float
     residual: float
-    nash_mode: str
-    derivative_mode: str
-    closed_form_mode: str
     reason: str
 
     def __post_init__(self) -> None:
@@ -93,8 +89,6 @@ class OptimalControlResult:
             raise ValueError("residual must be finite")
         if any(u < 0.0 for u in self.u_candidates):
             raise ValueError("u_candidates must be nonnegative")
-        if len(self.candidate_residuals) != len(self.u_candidates):
-            raise ValueError("one residual per candidate required")
 
 
 def _nash_sides(
@@ -240,22 +234,16 @@ def solve_quartic(coeffs: ClosedFormCoeffs, closed_form_mode: str = "rederived")
     return sorted([0.5 * (t1 - sq), 0.5 * (t1 + sq)])
 
 
-def scan_sign_changes(
-    fn: Callable[[float], float],
-    grid_n: int,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    width: float = BISECT_WIDTH,
-) -> list[float]:
-    """Roots of fn located by sign changes on a uniform grid over (lo, hi].
+def scan_sign_changes(fn: Callable[[float], float], grid_n: int) -> list[float]:
+    """Roots of fn located by sign changes on a uniform grid over (0, 1].
 
-    Each bracket is bisected to |interval| <= width.  Scale-invariant:
+    Each bracket is bisected to |interval| <= BISECT_WIDTH.  Scale-invariant:
     multiplying fn by a positive constant changes no sign and therefore no
     bisection decision.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
-    us = [lo + (hi - lo) * i / grid_n for i in range(1, grid_n + 1)]
+    us = [i / grid_n for i in range(1, grid_n + 1)]
     vals = [fn(u) for u in us]
     roots: list[float] = []
     for i in range(len(us) - 1):
@@ -266,7 +254,7 @@ def scan_sign_changes(
         if v0 * v1 < 0.0:
             a, b = us[i], us[i + 1]
             fa = v0
-            while b - a > width:
+            while b - a > BISECT_WIDTH:
                 m = 0.5 * (a + b)
                 fm = fn(m)
                 if fm == 0.0:
@@ -331,9 +319,6 @@ def optimal_stubbornness(
     else:
         z_roots = solve_quartic(coeffs, modes.closed_form_mode)
     candidates = [math.sqrt(z) for z in z_roots if z >= 0.0]
-    cand_residuals = tuple(
-        nash_residual(state, u, model, payoff, lagrange, modes) for u in candidates
-    )
 
     def result(u_unclamped: float, reason: str) -> OptimalControlResult:
         u_star = clamp_control(u_unclamped)
@@ -341,13 +326,9 @@ def optimal_stubbornness(
         return OptimalControlResult(
             z_roots=tuple(z_roots),
             u_candidates=tuple(candidates),
-            candidate_residuals=cand_residuals,
             u_star=u_star,
             u_unclamped=u_unclamped,
             residual=res,
-            nash_mode=modes.nash_mode,
-            derivative_mode=modes.derivative_mode,
-            closed_form_mode=modes.closed_form_mode,
             reason=reason,
         )
 

@@ -70,14 +70,14 @@ class DensityGrid:
         return float(np.trapezoid(self.psi, self.x_grid))
 
 
-def gaussian_density_grid(x_grid: np.ndarray, center: float, width: float, s: float = 0.0) -> DensityGrid:
-    """Normalized Gaussian bump with zeroed endpoints, for initial conditions."""
+def gaussian_density_grid(x_grid: np.ndarray, center: float, width: float) -> DensityGrid:
+    """Normalized Gaussian bump at s = 0 with zeroed endpoints, for initial conditions."""
     x = np.asarray(x_grid, dtype=np.float64)
     psi = np.exp(-0.5 * ((x - center) / width) ** 2)
     psi[0] = 0.0
     psi[-1] = 0.0
     psi /= np.trapezoid(psi, x)
-    return DensityGrid(x_grid=x, psi=psi, s=s, normalized=True)
+    return DensityGrid(x_grid=x, psi=psi, s=0.0, normalized=True)
 
 
 def gaussian_integral_closed(q: float, lambda_coef: float, eps: float, beta_pow: float) -> float:

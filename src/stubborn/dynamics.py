@@ -120,23 +120,15 @@ class Path:
         return int(np.count_nonzero(self.clamped))
 
 
-def drift(state: State, u: float, model: ModelParams) -> float:
-    """a*sqrt(x) - sigma2*x - u."""
-    return model.a * math.sqrt(state.x) - model.sigma2 * state.x - u
-
-
-def diffusion(state: State, model: ModelParams) -> float:
-    """sigma1 - sigma2*x (sign may be negative; squared wherever used)."""
-    return model.sigma1 - model.sigma2 * state.x
-
-
-def _drift_arr(x: np.ndarray, u: np.ndarray | float, model: ModelParams) -> np.ndarray:
+def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
+    """a*sqrt(x) - sigma2*x - u for a float or an array x."""
     # max(x, 0) keeps the sqrt defined when the pre-clamp diagnostic mode
     # lets states go negative; clamped simulation never sees x < 0.
     return model.a * np.sqrt(np.maximum(x, 0.0)) - model.sigma2 * x - u
 
 
-def _diffusion_arr(x: np.ndarray, model: ModelParams) -> np.ndarray:
+def diffusion(x: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
+    """sigma1 - sigma2*x (sign may be negative; squared wherever used)."""
     return model.sigma1 - model.sigma2 * x
 
 
@@ -184,7 +176,7 @@ def _em_steps(
             u[row] = policy(s_j, x[row])
         np.clip(u, 0.0, 1.0, out=u)
         w = step_normals(seed, first_path, n_paths, j)
-        raw = x + _drift_arr(x, u, model) * dt + _diffusion_arr(x, model) * sqrt_dt * w
+        raw = x + drift(x, u, model) * dt + diffusion(x, model) * sqrt_dt * w
         hit = raw < 0.0
         x_next = np.maximum(raw, 0.0, out=raw) if clamp else raw
         yield s_j, x, u, x_next, hit
@@ -231,13 +223,10 @@ def simulate_batch(
     horizon: float,
     seed: int,
     n_paths: int,
-    clamp: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n_paths trajectories; returns (states, clamped) matrices.
 
-    Both have shape (n_paths, n_steps+1).  With clamp=False the raw
-    pre-clamp recursion is stored; clamp flags then mark where clamping
-    would have occurred.
+    Both have shape (n_paths, n_steps+1).
     """
     n_steps = n_steps_for(horizon, dt)
     states = np.empty((n_paths, n_steps + 1), dtype=np.float64)
@@ -245,7 +234,7 @@ def simulate_batch(
     states[:, 0] = x0
 
     def work(lo: int, hi: int) -> None:
-        steps = _em_steps(x0, [policy], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp)
+        steps = _em_steps(x0, [policy], model, dt, n_steps, seed, lo, hi - lo)
         for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
             states[lo:hi, j] = x_next[0]
             clamped[lo:hi, j] = hit[0]
@@ -312,10 +301,10 @@ def em_transition_logdensity(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    sig = diffusion(state, model)
+    sig = diffusion(state.x, model)
     if sig == 0.0:
         raise DegenerateDensityError("degenerate transition density")
-    mean = state.x + drift(state, u, model) * dt
+    mean = state.x + drift(state.x, u, model) * dt
     var = sig * sig * dt
     return -0.5 * math.log(2.0 * math.pi * var) - 0.5 * (x_next - mean) ** 2 / var
 

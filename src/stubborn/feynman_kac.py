@@ -98,8 +98,8 @@ def pde_stencil(
     ua = np.asarray(u)
     v0 = float(problem.V(s, xa, ua))
     theta0 = float(problem.Theta(s, xa, ua))
-    mu = dynamics.drift(State(s=s, x=x), u, problem.dynamics)
-    sig = dynamics.diffusion(State(s=s, x=x), problem.dynamics)
+    mu = dynamics.drift(x, u, problem.dynamics)
+    sig = dynamics.diffusion(x, problem.dynamics)
     half_sig2 = 0.5 * sig * sig
     nodes = [
         (s + hs, x, 1.0 / (2.0 * hs)),

@@ -48,22 +48,19 @@ class IntegratingFactor(NamedTuple):
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """Values of f and its partials at one (s, x, u), tagged with the mode."""
+    """Values of f and its partials at one (s, x, u)."""
 
     f: float
     f_u: float
     f_x: float
     f_xx: float
     f_xu: float
-    mode: str
 
 
 @dataclass(frozen=True)
 class FDCheckReport:
-    """Per-component relative errors of a bundle against finite differences."""
+    """Per-component scaled errors of a bundle against finite differences."""
 
-    mode: str
-    step: float
     rel_f_x: float
     rel_f_xx: float
     rel_f_u: float
@@ -148,8 +145,8 @@ def assemble_f_from_generator(
     D = float(np.exp(-payoff.r * state.s))
     k = payoff.c / (payoff.r - payoff.mu_bar)
     pi = payoff.reward_coeff * state.x - k * u * u / np.sqrt(state.x)
-    mu = drift(state, u, model)
-    sig = diffusion(state, model)
+    mu = drift(state.x, u, model)
+    sig = diffusion(state.x, model)
     l0, l1 = lagrange.l0, lagrange.l1
     diff_term = 0.5 * sig * sig * h_xx
     if scale_diffusion_by_l0:
@@ -254,7 +251,7 @@ def derivatives(
     _require_positive_x(state.x, u)
     f, f_u, f_x, f_xx, f_xu = _partials(state.s, state.x, u, model, payoff, lagrange, mode, Mbar)
     return DerivativeBundle(f=float(f), f_u=float(f_u), f_x=float(f_x), f_xx=float(f_xx),
-                            f_xu=float(f_xu), mode=mode)
+                            f_xu=float(f_xu))
 
 
 def derivative_gap(
@@ -293,11 +290,15 @@ def derivative_gap(
     return gap_fx, gap_fxx, gap_fxu
 
 
-def _rel_err(analytic: float, fd: float) -> float:
-    denom = max(abs(analytic), abs(fd))
-    if denom <= 1e-10:
-        return abs(analytic - fd)
-    return abs(analytic - fd) / denom
+def _scaled_error(got: float, want: float, scale: float) -> float:
+    """|got - want| over the size of the terms, max(|got|, |want|, |scale|).
+
+    The scale stands in for the terms that got and want are made from, so
+    a value that passes through zero is not compared with itself alone.
+    Zero when all three are zero.
+    """
+    size = max(abs(got), abs(want), abs(scale))
+    return abs(got - want) / size if size > 0.0 else 0.0
 
 
 def _central_stencils(F, x, uu, h) -> tuple[float, float, float, float]:
@@ -327,7 +328,6 @@ def finite_difference_check(
     lagrange: LagrangeParams,
     mode: str = "consistent",
     step: float = 1e-5,
-    Mbar: float | None = None,
 ) -> FDCheckReport:
     """Central-difference validation of derivatives() against f itself.
 
@@ -335,14 +335,16 @@ def finite_difference_check(
     mixed differences are not drowned by float64 cancellation at the
     requested step size.  Each derivative combines the step and half-step
     stencils by Richardson extrapolation, (4*D(h/2) - D(h))/3, cancelling
-    the h^2 truncation term; this keeps relative errors tight even where
-    f_xx passes through zero.  A report is always produced; for mode="paper" the
-    errors reproduce the analytic mode gap.
+    the h^2 truncation term.  Each error is :func:`_scaled_error` with the
+    value |f| at the point as its scale: the stencils difference values of
+    f, so their error grows with |f|, and a partial that passes through
+    zero (f_xx often does) is not measured against its own near-zero size.
+    A report is always produced; for mode="paper" the errors reproduce the
+    analytic mode gap.
     """
     if state.x - step <= 0.0:
         raise ValueError("x - step must stay positive for the stencil")
-    if Mbar is None:
-        Mbar = default_terminal_constant(payoff, state.x)
+    Mbar = default_terminal_constant(payoff, state.x)
     bundle = derivatives(state, u, model, payoff, lagrange, mode=mode, Mbar=Mbar)
 
     ld = np.longdouble
@@ -356,10 +358,8 @@ def finite_difference_check(
     fd_fx, fd_fxx, fd_fu, fd_fxu = ((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
 
     return FDCheckReport(
-        mode=mode,
-        step=step,
-        rel_f_x=_rel_err(bundle.f_x, fd_fx),
-        rel_f_xx=_rel_err(bundle.f_xx, fd_fxx),
-        rel_f_u=_rel_err(bundle.f_u, fd_fu),
-        rel_f_xu=_rel_err(bundle.f_xu, fd_fxu),
+        rel_f_x=_scaled_error(bundle.f_x, fd_fx, bundle.f),
+        rel_f_xx=_scaled_error(bundle.f_xx, fd_fxx, bundle.f),
+        rel_f_u=_scaled_error(bundle.f_u, fd_fu, bundle.f),
+        rel_f_xu=_scaled_error(bundle.f_xu, fd_fxu, bundle.f),
     )

@@ -397,6 +397,21 @@ def test_usage_errors_exit_2(tmp_path):
                      "--out-dir", str(case_out)]) == 2, doc
         manifest = json.loads((case_out / "manifest.json").read_text())
         assert manifest["status"] == "config_error", doc
+    # density values the update cannot use are config errors naming their key
+    bad_density = [
+        ("density.eps", small_numerics(density={"eps": 0})),
+        ("density.n_steps", small_numerics(density={"n_steps": 0})),
+        ("density.n_steps", small_numerics(density={"n_steps": -3})),
+        ("density.u", small_numerics(density={"u": 1.5})),
+        ("x_grid.n", small_numerics(x_grid={"min": 0.2, "max": 2.0, "n": 3})),
+    ]
+    for i, (key, numerics) in enumerate(bad_density):
+        case_out = tmp_path / f"density{i}"
+        config = write_config(tmp_path, dict(MINIMAL, numerics=numerics), f"d{i}.json")
+        assert main(["density", "--config", config, "--out-dir", str(case_out)]) == 2, key
+        manifest = json.loads((case_out / "manifest.json").read_text())
+        assert manifest["status"] == "config_error", key
+        assert key in manifest["error"], manifest["error"]
     # an --out-dir that names a file is a usage error, not a traceback
     not_a_dir = tmp_path / "file.txt"
     not_a_dir.write_text("")
@@ -434,6 +449,49 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{source.name} imports {name}"
+
+
+def _parameters_with_defaults(source):
+    """(function, parameter, position) of each parameter with a default in source.
+
+    position counts the arguments a caller passes (self and cls excluded);
+    it is None for a keyword-only parameter.
+    """
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        for i in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield node.name, positional[i].arg, i - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def test_every_parameter_default_is_set_by_some_caller():
+    # a default that no call overrides is a constant posing as a setting
+    root = Path(__file__).resolve().parent.parent
+    calls = {}  # called name -> [(positional argument count, keyword names)]
+    for folder in ("src", "tests", "perfbench"):
+        for source in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    n_pos = float("inf") if starred else len(node.args)
+                    # a **mapping argument shows up as the keyword None
+                    calls.setdefault(name, []).append((n_pos, {kw.arg for kw in node.keywords}))
+    unset = [
+        f"{source.stem}.{function}({param})"
+        for source in sorted(Path(stubborn.__file__).resolve().parent.glob("*.py"))
+        for function, param, position in _parameters_with_defaults(source)
+        if not any(
+            param in keywords or None in keywords or (position is not None and n_pos > position)
+            for n_pos, keywords in calls.get(function, [])
+        )
+    ]
+    assert not unset, f"parameter defaults that no call sets: {unset}"
 
 
 def test_pyproject_runtime_dependencies_are_numpy_only():

@@ -27,15 +27,15 @@ ZERO_POLICY = lambda s, x: 0.0
 
 
 def test_drift_values():
-    assert drift(State(s=0, x=0), 0.0, ModelParams(a=1, sigma1=0, sigma2=0.5)) == 0.0
-    assert drift(State(s=0, x=4), 1.0, ModelParams(a=2, sigma1=0, sigma2=0.5)) == 1.0
-    assert drift(State(s=0, x=1), 0.5, ModelParams(a=0, sigma1=0, sigma2=0)) == -0.5
+    assert drift(0.0, 0.0, ModelParams(a=1, sigma1=0, sigma2=0.5)) == 0.0
+    assert drift(4.0, 1.0, ModelParams(a=2, sigma1=0, sigma2=0.5)) == 1.0
+    assert drift(1.0, 0.5, ModelParams(a=0, sigma1=0, sigma2=0)) == -0.5
 
 
 def test_diffusion_values():
-    assert diffusion(State(s=0, x=17.3), ModelParams(a=0, sigma1=0.3, sigma2=0)) == 0.3
-    assert diffusion(State(s=0, x=2), ModelParams(a=0, sigma1=1, sigma2=0.5)) == 0.0
-    assert diffusion(State(s=0, x=4), ModelParams(a=0, sigma1=0.1, sigma2=0.5)) == -1.9
+    assert diffusion(17.3, ModelParams(a=0, sigma1=0.3, sigma2=0)) == 0.3
+    assert diffusion(2.0, ModelParams(a=0, sigma1=1, sigma2=0.5)) == 0.0
+    assert diffusion(4.0, ModelParams(a=0, sigma1=0.1, sigma2=0.5)) == -1.9
 
 
 def test_simulate_path_frozen_dynamics():
@@ -257,7 +257,7 @@ def test_transition_logdensity_values():
     # At the mode with unit variance the density is 1/sqrt(2*pi).
     model = ModelParams(a=0.3, sigma1=1.0, sigma2=0.0)
     st = State(s=0.0, x=1.0)
-    mode_x = 1.0 + drift(st, 0.0, model) * 1.0
+    mode_x = 1.0 + drift(st.x, 0.0, model) * 1.0
     val = em_transition_logdensity(mode_x, st, 0.0, model, dt=1.0)
     assert val == pytest.approx(math.log(1.0 / math.sqrt(2.0 * math.pi)), rel=1e-15)
 
@@ -329,9 +329,8 @@ def test_marginal_density_matches_histogram():
     dx = grid[1] - grid[0]
 
     def kernel_row(x_from: float) -> np.ndarray:
-        st = State(s=0.0, x=float(x_from))
-        mean = x_from + drift(st, 0.0, model) * dt
-        var = diffusion(st, model) ** 2 * dt
+        mean = x_from + drift(x_from, 0.0, model) * dt
+        var = diffusion(x_from, model) ** 2 * dt
         return np.exp(-0.5 * (grid - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
 
     kernel = np.array([kernel_row(x) for x in grid])  # [from, to]
