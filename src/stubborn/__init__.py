@@ -18,23 +18,13 @@ from .model import (
     clamp_control,
     validate_params,
 )
-from .dynamics import (
-    Path,
-    diffusion,
-    drift,
-    em_transition_logdensity,
-    path_logdensity,
-    simulate_batch,
-    simulate_path,
-)
+from .dynamics import diffusion, drift, simulate_batch
 from .payoff import (
     PayoffEstimate,
     constant_policy,
     expected_payoff,
     expected_payoffs,
-    instantaneous_payoff,
     payoff_stationarity,
-    terminal_bonus,
 )
 from .lagrangian import (
     DerivativeBundle,
@@ -72,20 +62,14 @@ __all__ = [
     "State",
     "clamp_control",
     "validate_params",
-    "Path",
     "diffusion",
     "drift",
-    "em_transition_logdensity",
-    "path_logdensity",
     "simulate_batch",
-    "simulate_path",
     "PayoffEstimate",
     "constant_policy",
     "expected_payoff",
     "expected_payoffs",
-    "instantaneous_payoff",
     "payoff_stationarity",
-    "terminal_bonus",
     "DerivativeBundle",
     "assemble_f_from_generator",
     "derivative_gap",

@@ -115,7 +115,6 @@ def check_finite_differences(
     """
     rng = np.random.default_rng(seed)
     worst_fd = 0.0
-    worst_fd_published = 0.0
     worst_gap = 0.0
     for i in range(n_points):
         sc = _random_interior_point(rng, with_multiplier=(i % 2 == 1))
@@ -130,18 +129,6 @@ def check_finite_differences(
             step=1e-3,
         )
         worst_fd = max(worst_fd, report.max_error())
-        # The published mode is reported per the interface but not gated:
-        # its FD defect IS the documented divergence.
-        published = finite_difference_check(
-            sc.state,
-            u,
-            sc.model,
-            sc.payoff,
-            sc.lagrange,
-            mode="paper",
-            step=1e-3,
-        )
-        worst_fd_published = max(worst_fd_published, published.max_error())
 
         bp = derivatives(sc.state, u, sc.model, sc.payoff, sc.lagrange, mode="paper")
         bc = derivatives(sc.state, u, sc.model, sc.payoff, sc.lagrange, mode="consistent")
@@ -155,7 +142,6 @@ def check_finite_differences(
         "points": n_points,
         "max_fd_rel_error": worst_fd,
         "fd_tolerance": fd_rel,
-        "published_mode_max_fd_rel_error": worst_fd_published,
         "max_gap_error": worst_gap,
         "gap_tolerance": gap_tol,
         "passed": bool(worst_fd <= fd_rel and worst_gap <= gap_tol),
@@ -349,6 +335,7 @@ def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
     )
     mean2, se2 = fk_estimate(problem2, 0.0, 1.0, dt, n_paths, seed)
     stoch_dev = abs(mean2 - 1.0)
+    se_bound = 3.0
     return {
         "name": "feynman_kac_analytic",
         "frozen_rel_error": frozen_err,
@@ -357,7 +344,9 @@ def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
         "stochastic_std_error": se2,
         "stochastic_deviation": stoch_dev,
         "n_paths": n_paths,
-        "passed": bool(frozen_err <= 1e-12 and stoch_dev <= 3.0 * se2),
+        # two-sided normal tail beyond the bound: how often correct code fails
+        "stochastic_false_alarm_rate": math.erfc(se_bound / math.sqrt(2.0)),
+        "passed": bool(frozen_err <= 1e-12 and stoch_dev <= se_bound * se2),
     }
 
 

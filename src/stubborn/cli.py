@@ -139,7 +139,9 @@ def _value(kind, value, where: str):
     Nothing is cast silently: a JSON boolean is not a number, a number must
     be finite, and an int field takes only integral values (16.0 is 16).
     """
-    if typing.get_args(kind):  # GridSpec | None: a grid given in the config
+    if typing.get_args(kind):  # GridSpec | None: a grid, or null for none
+        if value is None:
+            return None
         (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
     if dataclasses.is_dataclass(kind):
         if not isinstance(value, dict):

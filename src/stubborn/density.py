@@ -49,7 +49,6 @@ class DensityGrid:
     x_grid: np.ndarray
     psi: np.ndarray
     s: float
-    normalized: bool
     warning: str | None = None
 
     def __post_init__(self) -> None:
@@ -61,10 +60,9 @@ class DensityGrid:
             raise ValueError("x_grid must be strictly increasing")
         if np.any(self.psi < 0.0):
             raise ValueError("psi must be nonnegative")
-        if self.normalized:
-            total = float(np.trapezoid(self.psi, self.x_grid))
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise ValueError(f"normalized grid integrates to {total}, not 1")
+        total = float(np.trapezoid(self.psi, self.x_grid))
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"normalized grid integrates to {total}, not 1")
 
     def mass(self) -> float:
         return float(np.trapezoid(self.psi, self.x_grid))
@@ -77,7 +75,7 @@ def gaussian_density_grid(x_grid: np.ndarray, center: float, width: float) -> De
     psi[0] = 0.0
     psi[-1] = 0.0
     psi /= np.trapezoid(psi, x)
-    return DensityGrid(x_grid=x, psi=psi, s=0.0, normalized=True)
+    return DensityGrid(x_grid=x, psi=psi, s=0.0)
 
 
 def gaussian_integral_closed(q: float, lambda_coef: float, eps: float, beta_pow: float) -> float:
@@ -128,8 +126,6 @@ def _laplace_terms(
     """(x, a, b, E): the grid, a = f_xx/2, b = f_x and the growth exponent."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    if not grid.normalized:
-        raise ValueError("input grid must be normalized")
     x = grid.x_grid
     f, b, fxx = fields(grid.s, x)
     a = 0.5 * fxx
@@ -162,7 +158,7 @@ def _finish_step(
     raw[0] = 0.0
     raw[-1] = 0.0
     psi = raw / np.trapezoid(raw, x)
-    return DensityGrid(x_grid=x, psi=psi, s=s_next, normalized=True, warning=warning)
+    return DensityGrid(x_grid=x, psi=psi, s=s_next, warning=warning)
 
 
 def kernel_step(

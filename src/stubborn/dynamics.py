@@ -1,5 +1,4 @@
-"""Goal-dynamics SDE: drift/diffusion, Euler-Maruyama simulation, and
-exact per-step transition densities.
+"""Goal-dynamics SDE: drift/diffusion and Euler-Maruyama simulation.
 
 The SDE is dx = (a*sqrt(x) - sigma2*x - u) ds + (sigma1 - sigma2*x) dW,
 discretized as x_{j+1} = x_j + mu_j*dt + sigma_j*w_j*sqrt(dt) with one
@@ -13,7 +12,8 @@ independent of batch layout, chunking, and thread count.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and threads.
-The simulators here, `payoff.expected_payoffs` and
+The simulators here (`simulate_batch` stores whole paths, `simulate_final`
+keeps only the final states), `payoff.expected_payoffs` and
 `feynman_kac.fk_estimate` are per-step accumulators over those two
 functions.
 
@@ -31,12 +31,11 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ModelParams, State
+from .model import ModelParams
 
 PolicyFn = Callable[[float, np.ndarray], np.ndarray | float]
 
@@ -53,14 +52,6 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 2.0 ** -53
-
-
-class DegenerateDensityError(ValueError):
-    """Transition density requested where the diffusion vanishes."""
-
-
-class ClampedPathError(ValueError):
-    """Path density requested for a trajectory that hit the x = 0 clamp."""
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -89,35 +80,6 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
     u1 = ((za >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
     u2 = (zb >> np.uint64(11)).astype(np.float64) * _INV53
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-@dataclass(frozen=True)
-class Path:
-    """One discretized trajectory.
-
-    times[k] = k*dt; states[k] >= 0; clamped[k] marks steps where the raw
-    Euler-Maruyama update went negative and was absorbed at 0.
-    """
-
-    seed: int
-    dt: float
-    times: np.ndarray
-    states: np.ndarray
-    clamped: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.times) != len(self.states) or len(self.times) != len(self.clamped):
-            raise ValueError("times, states and clamped must have equal length")
-        if len(self.times) == 0 or self.times[0] != 0.0:
-            raise ValueError("times must start at 0")
-        if len(self.times) > 1 and np.abs(np.diff(self.times) - self.dt).max() > 1e-12:
-            raise ValueError("times must be uniformly spaced by dt")
-        if np.any(self.states < 0.0):
-            raise ValueError("states must be nonnegative")
-
-    @property
-    def clamp_count(self) -> int:
-        return int(np.count_nonzero(self.clamped))
 
 
 def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
@@ -272,54 +234,3 @@ def simulate_final(
 
     _for_each_chunk(n_paths, work)
     return final, clamp_any
-
-
-def simulate_path(
-    x0: float,
-    policy: PolicyFn,
-    model: ModelParams,
-    dt: float,
-    horizon: float,
-    seed: int,
-) -> Path:
-    """Simulate a single path; bit-reproducible given (seed, dt, x0, params, policy).
-
-    The path is row 0 of simulate_batch with one path.
-    """
-    states, clamped = simulate_batch(x0, policy, model, dt, horizon, seed, 1)
-    times = np.arange(states.shape[1], dtype=np.float64) * dt
-    return Path(seed=seed, dt=dt, times=times, states=states[0], clamped=clamped[0])
-
-
-def em_transition_logdensity(
-    x_next: float, state: State, u: float, model: ModelParams, dt: float
-) -> float:
-    """Log density of x_next under one unclamped Euler-Maruyama step.
-
-    The step is Gaussian with mean x + mu*dt and variance sigma^2*dt; a
-    vanishing diffusion has no density.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    sig = diffusion(state.x, model)
-    if sig == 0.0:
-        raise DegenerateDensityError("degenerate transition density")
-    mean = state.x + drift(state.x, u, model) * dt
-    var = sig * sig * dt
-    return -0.5 * math.log(2.0 * math.pi * var) - 0.5 * (x_next - mean) ** 2 / var
-
-
-def path_logdensity(path: Path, policy: PolicyFn, model: ModelParams) -> float:
-    """Sum of per-step Gaussian log densities along an unclamped path."""
-    if path.clamp_count > 0:
-        raise ClampedPathError("path density undefined: clamped steps present")
-    total = 0.0
-    for k in range(len(path.times) - 1):
-        s_k = float(path.times[k])
-        x_k = float(path.states[k])
-        u_k = float(np.clip(policy(s_k, np.asarray(x_k)), 0.0, 1.0))
-        total += em_transition_logdensity(
-            float(path.states[k + 1]), State(s=s_k, x=x_k), u_k, model, path.dt
-        )
-    return total
-

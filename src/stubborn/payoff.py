@@ -1,4 +1,4 @@
-"""Instantaneous payoff, terminal bonus, and Monte Carlo payoff estimation.
+"""Monte Carlo estimation of the expected payoff J.
 
 The running payoff is pi(s, x, u) = (theta + alpha1 + alpha2 + alpha3)*x
 - c*u^2 / ((r - mu_bar)*sqrt(x)); the expected payoff J discounts pi at
@@ -27,8 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics
-from .lagrangian import SingularCostError
-from .model import ModelParams, PayoffParams, State, clamp_control
+from .model import ModelParams, PayoffParams, clamp_control
 
 
 @dataclass(frozen=True)
@@ -53,23 +52,6 @@ class PayoffEstimate:
             raise ValueError("clamp_fraction must lie in [0, 1]")
         if not (0.0 <= self.invalid_fraction <= 1.0):
             raise ValueError("invalid_fraction must lie in [0, 1]")
-
-
-def instantaneous_payoff(state: State, u: float, payoff: PayoffParams) -> float:
-    """(theta + sum(alpha))*x - c*u^2 / ((r - mu_bar)*sqrt(x))."""
-    if u == 0.0:
-        return payoff.reward_coeff * state.x
-    if state.x <= 0.0:
-        raise SingularCostError("cost singular at x=0")
-    k = payoff.c / (payoff.r - payoff.mu_bar)
-    return payoff.reward_coeff * state.x - k * u * u / math.sqrt(state.x)
-
-
-def terminal_bonus(x_final: float, payoff: PayoffParams) -> float:
-    """omega * e^{-r*horizon} * sqrt(x_final)."""
-    if x_final < 0.0:
-        raise ValueError("x_final must be nonnegative")
-    return payoff.omega * math.exp(-payoff.r * payoff.horizon) * math.sqrt(x_final)
 
 
 def expected_payoff(

@@ -155,13 +155,21 @@ def test_criterion_6_feynman_kac_analytic_cases():
         mean2, se2 = fk_estimate(prob2, 0.0, 1.0, 0.01, 100_000, seed=6)
         stoch_dev = abs(mean2 - 1.0)
     ok = frozen_err <= 1e-12 and stoch_dev <= 3.0 * se2
+    # validate's suite runs the same stochastic case behind the same 3 SE gate
+    # and reports how often that gate fails on correct code
+    suite = checks.check_fk_cases(dt=0.01, n_paths=100_000, seed=6)
+    assert (suite["stochastic_mean"], suite["stochastic_std_error"]) == (mean2, se2)
+    assert suite["passed"] == ok
+    false_alarm = suite["stochastic_false_alarm_rate"]
+    assert false_alarm == math.erfc(3 / math.sqrt(2)) == pytest.approx(0.0027, abs=1e-4)
     report(
         6,
         ok,
         30.0,
         t,
         f"frozen discount rel err {frozen_err:.2e} <= 1e-12; stochastic linear "
-        f"terminal dev {stoch_dev:.2e} <= 3*SE ({3 * se2:.2e}) at 1e5 paths",
+        f"terminal dev {stoch_dev:.2e} <= 3*SE ({3 * se2:.2e}) at 1e5 paths, "
+        f"nominal false-alarm rate {false_alarm:.4f}",
     )
 
 

@@ -340,6 +340,26 @@ def test_validate_passes_and_reproduces(tmp_path):
     assert manifest["checks_passed"] is True
 
 
+def test_manifest_config_runs_again_unchanged(tmp_path):
+    # the echo writes an unset s_grid as null, which must read back as unset
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02)))
+    first = {}
+    for command in ("simulate", "sweep", "optimize", "density", "validate"):
+        out = tmp_path / "first" / command
+        assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 0
+        first[command] = out
+    echoed = json.loads((first["sweep"] / "manifest.json").read_text())["config"]
+    assert echoed["numerics"]["s_grid"] is None
+    echo_path = write_config(tmp_path, echoed, name="echoed.json")
+    for command, out in first.items():
+        again = tmp_path / "again" / command
+        assert main([command, "--config", echo_path, "--out-dir", str(again)]) == 0
+        names = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert names and names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (out / name).read_bytes() == (again / name).read_bytes(), (command, name)
+
+
 def test_flag_overrides(tmp_path):
     doc = dict(MINIMAL, numerics=small_numerics())
     code = main([
@@ -492,6 +512,44 @@ def test_every_parameter_default_is_set_by_some_caller():
         )
     ]
     assert not unset, f"parameter defaults that no call sets: {unset}"
+
+
+# public names that no package code calls, each kept for a reason
+ORACLES = (
+    ("expected_payoff", "the README quickstart's one-policy estimate of J"),
+    ("payoff_stationarity", "oracle of acceptance criterion 9 (dJ/du at a grid maximizer)"),
+    ("hand_coded_f", "oracle pair for f with assemble_f_from_generator"),
+    ("assemble_f_from_generator", "oracle pair for f with hand_coded_f"),
+    ("fk_pde_residual_check", "Feynman-Kac generator oracle"),
+)
+
+
+def _names_used_outside_own_definition(tree):
+    """Names and attributes read in tree, except inside a def or class of that name."""
+    used = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name not in enclosing:
+            used.add(name)
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_name_is_reached_or_is_an_oracle():
+    # a public name that only its own tests call is API nobody needs
+    oracles = {name for name, _reason in ORACLES}
+    used = set()
+    for source in sorted(Path(stubborn.__file__).resolve().parent.glob("*.py")):
+        if source.name != "__init__.py":
+            used |= _names_used_outside_own_definition(ast.parse(source.read_text(encoding="utf-8")))
+    unreached = [name for name in stubborn.__all__ if name not in used and name not in oracles]
+    assert not unreached, f"public names that no package code references: {unreached}"
+    stale = [name for name in oracles if name in used or name not in stubborn.__all__]
+    assert not stale, f"ORACLES entries that are referenced or not public: {stale}"
 
 
 def test_pyproject_runtime_dependencies_are_numpy_only():

@@ -325,8 +325,8 @@ def test_boundary_mass_warning():
 def test_density_grid_validation():
     x = np.linspace(0, 1, 11)
     with pytest.raises(ValueError, match="normalized grid"):
-        DensityGrid(x_grid=x, psi=np.full(11, 2.0), s=0.0, normalized=True)
+        DensityGrid(x_grid=x, psi=np.full(11, 2.0), s=0.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        DensityGrid(x_grid=x, psi=np.full(11, -1.0), s=0.0, normalized=False)
+        DensityGrid(x_grid=x, psi=np.full(11, -1.0), s=0.0)
     with pytest.raises(ValueError, match="strictly increasing"):
-        DensityGrid(x_grid=x[::-1].copy(), psi=np.ones(11), s=0.0, normalized=False)
+        DensityGrid(x_grid=x[::-1].copy(), psi=np.ones(11), s=0.0)

@@ -7,20 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from stubborn import dynamics
 from stubborn.dynamics import (
-    ClampedPathError,
-    DegenerateDensityError,
     drift,
     diffusion,
-    em_transition_logdensity,
     n_steps_for,
-    path_logdensity,
     simulate_batch,
     simulate_final,
-    simulate_path,
     step_normals,
 )
 from stubborn.feynman_kac import FKProblem, fk_estimate
-from stubborn.model import ModelParams, PayoffParams, State
+from stubborn.model import ModelParams, PayoffParams
 from stubborn.payoff import expected_payoff, expected_payoffs
 
 ZERO_POLICY = lambda s, x: 0.0
@@ -39,10 +34,10 @@ def test_diffusion_values():
 
 
 def test_simulate_path_frozen_dynamics():
-    path = simulate_path(1.0, ZERO_POLICY, ModelParams(a=0, sigma1=0, sigma2=0), 0.25, 1.0, seed=3)
-    assert np.array_equal(path.states, np.ones(5))
-    assert np.array_equal(path.times, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    assert path.clamp_count == 0
+    frozen = ModelParams(a=0, sigma1=0, sigma2=0)
+    states, clamped = simulate_batch(1.0, ZERO_POLICY, frozen, 0.25, 1.0, 3, 1)
+    assert np.array_equal(states[0], np.ones(5))
+    assert not clamped[0].any()
 
 
 def test_simulate_path_deterministic_euler():
@@ -55,9 +50,9 @@ def test_simulate_path_deterministic_euler():
         (0.01, 1.0, 0.1, 0.1, [0.01, 0.0], [False, True]),
     ]
     for x0, u, dt, horizon, states, clamped in cases:
-        path = simulate_path(x0, lambda s, x: u, frozen, dt, horizon, seed=3)
-        assert np.array_equal(path.states, states)
-        assert np.array_equal(path.clamped, clamped)
+        got_states, got_clamped = simulate_batch(x0, lambda s, x: u, frozen, dt, horizon, 3, 1)
+        assert np.array_equal(got_states[0], states)
+        assert np.array_equal(got_clamped[0], clamped)
 
 
 def test_horizon_must_be_step_multiple():
@@ -71,11 +66,11 @@ def test_horizon_must_be_step_multiple():
 
 def test_bit_reproducibility():
     model = ModelParams(a=0.5, sigma1=0.4, sigma2=0.2)
-    p1 = simulate_path(1.0, ZERO_POLICY, model, 0.01, 1.0, seed=77)
-    p2 = simulate_path(1.0, ZERO_POLICY, model, 0.01, 1.0, seed=77)
-    assert np.array_equal(p1.states, p2.states)
-    p3 = simulate_path(1.0, ZERO_POLICY, model, 0.01, 1.0, seed=78)
-    assert not np.array_equal(p1.states, p3.states)
+    p1 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 77, 1)[0][0]
+    p2 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 77, 1)[0][0]
+    assert np.array_equal(p1, p2)
+    p3 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 78, 1)[0][0]
+    assert not np.array_equal(p1, p3)
 
 
 ENGINE_MODEL = ModelParams(a=0.5, sigma1=0.6, sigma2=0.2)
@@ -218,11 +213,11 @@ def test_noise_is_standard_normal():
 def test_zero_noise_matches_explicit_euler():
     model = ModelParams(a=0.7, sigma1=0.0, sigma2=0.0)
     u = 0.2
-    path = simulate_path(1.0, lambda s, x: u, model, 0.01, 1.0, seed=0)
+    states = simulate_batch(1.0, lambda s, x: u, model, 0.01, 1.0, 0, 1)[0][0]
     x = 1.0
     for k in range(100):
         x = x + (model.a * math.sqrt(x) - model.sigma2 * x - u) * 0.01
-        assert path.states[k + 1] == x
+        assert states[k + 1] == x
 
 
 def test_zero_drift_martingale_mean():
@@ -253,75 +248,13 @@ def test_linear_mean_law():
     assert abs(final.mean() - target) <= 3.0 * se
 
 
-def test_transition_logdensity_values():
-    # At the mode with unit variance the density is 1/sqrt(2*pi).
-    model = ModelParams(a=0.3, sigma1=1.0, sigma2=0.0)
-    st = State(s=0.0, x=1.0)
-    mode_x = 1.0 + drift(st.x, 0.0, model) * 1.0
-    val = em_transition_logdensity(mode_x, st, 0.0, model, dt=1.0)
-    assert val == pytest.approx(math.log(1.0 / math.sqrt(2.0 * math.pi)), rel=1e-15)
-
-    model2 = ModelParams(a=0.0, sigma1=1.0, sigma2=0.0)
-    val2 = em_transition_logdensity(2.0, State(s=0, x=1.0), 0.0, model2, dt=1.0)
-    assert val2 == pytest.approx(math.log(math.exp(-0.5) / math.sqrt(2.0 * math.pi)), rel=1e-14)
-
-    with pytest.raises(DegenerateDensityError, match="degenerate transition density"):
-        em_transition_logdensity(1.0, State(s=0, x=1.0), 0.0, ModelParams(a=0, sigma1=0, sigma2=0), 0.1)
-
-
-def test_path_logdensity_additivity():
-    model = ModelParams(a=0.0, sigma1=0.5, sigma2=0.0)
-    times = np.array([0.0, 0.1, 0.2])
-    states = np.array([1.0, 1.0, 1.0])
-    from stubborn.dynamics import Path
-
-    two = Path(seed=0, dt=0.1, times=times, states=states, clamped=np.zeros(3, bool))
-    one = Path(
-        seed=0, dt=0.1, times=times[:2], states=states[:2], clamped=np.zeros(2, bool)
-    )
-    ld_two = path_logdensity(two, ZERO_POLICY, model)
-    ld_one = path_logdensity(one, ZERO_POLICY, model)
-    assert ld_two == pytest.approx(2.0 * ld_one, rel=1e-15)
-    step_val = em_transition_logdensity(1.0, State(s=0, x=1.0), 0.0, model, 0.1)
-    assert ld_one == step_val
-
-
-def test_path_logdensity_on_simulated_path():
-    model = ModelParams(a=0.4, sigma1=0.4, sigma2=0.1)
-    path = simulate_path(1.0, ZERO_POLICY, model, 0.05, 1.0, seed=21)
-    assert path.clamp_count == 0
-    assert math.isfinite(path_logdensity(path, ZERO_POLICY, model))
-
-
-def test_path_logdensity_propagates_degenerate_diffusion():
-    frozen = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
-    path = simulate_path(1.0, ZERO_POLICY, frozen, 0.25, 1.0, seed=1)
-    with pytest.raises(DegenerateDensityError):
-        path_logdensity(path, ZERO_POLICY, frozen)
-
-
-def test_path_logdensity_rejects_clamped_paths():
-    from stubborn.dynamics import Path
-
-    model = ModelParams(a=0.0, sigma1=0.5, sigma2=0.0)
-    clamped = Path(
-        seed=0,
-        dt=0.1,
-        times=np.array([0.0, 0.1]),
-        states=np.array([0.05, 0.0]),
-        clamped=np.array([False, True]),
-    )
-    with pytest.raises(ClampedPathError):
-        path_logdensity(clamped, ZERO_POLICY, model)
-
-
 def test_marginal_density_matches_histogram():
     """Chapman-Kolmogorov propagation of the one-step density vs an EM histogram.
 
-    The 10-step marginal is built by iterated quadrature of
-    exp(em_transition_logdensity) on a fine grid and compared per bin with
-    a 1e6-path simulation: an independent oracle for the path-density
-    factorization.
+    The 10-step marginal is built by iterated quadrature of the Gaussian
+    one-step Euler-Maruyama kernel (mean x + drift*dt, variance
+    diffusion^2*dt) on a fine grid and compared per bin with a 1e6-path
+    simulation: an independent oracle for the simulated marginal law.
     """
     model = ModelParams(a=0.3, sigma1=0.2, sigma2=0.05)
     dt, n_steps, x0 = 0.1, 10, 1.0

@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from stubborn.lagrangian import SingularCostError
-from stubborn.model import LagrangeParams, ModelParams, PayoffParams, State
-from stubborn.payoff import (
-    constant_policy,
-    expected_payoff,
-    instantaneous_payoff,
-    payoff_stationarity,
-    terminal_bonus,
-)
+from stubborn.model import ModelParams, PayoffParams
+from stubborn.payoff import constant_policy, expected_payoff, payoff_stationarity
 
 FROZEN = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
 
@@ -23,27 +16,6 @@ def pay(**overrides):
     )
     base.update(overrides)
     return PayoffParams(**base)
-
-
-def test_instantaneous_values():
-    assert instantaneous_payoff(State(s=0, x=2.0), 0.0, pay()) == 2.0
-    p = pay(r=0.1)
-    assert instantaneous_payoff(State(s=0, x=1.0), 1.0, p) == pytest.approx(-9.0)
-    p2 = pay(alpha1=0.1, alpha2=0.2, alpha3=0.3, r=2.0, mu_bar=1.0)
-    assert instantaneous_payoff(State(s=0, x=1.0), 1.0, p2) == pytest.approx(0.6)
-
-
-def test_instantaneous_singular_at_zero():
-    with pytest.raises(SingularCostError, match="cost singular at x=0"):
-        instantaneous_payoff(State(s=0, x=0.0), 0.5, pay())
-    # u = 0 at the boundary is fine: only the linear term remains
-    assert instantaneous_payoff(State(s=0, x=0.0), 0.0, pay()) == 0.0
-
-
-def test_terminal_bonus_values():
-    assert terminal_bonus(0.0, pay()) == 0.0
-    assert terminal_bonus(4.0, pay(omega=2.0, r=0.0, mu_bar=-0.5)) == pytest.approx(4.0)
-    assert terminal_bonus(1.0, pay(omega=1.0, r=1.0)) == pytest.approx(math.exp(-1.0))
 
 
 def test_deterministic_riemann_sum():
@@ -97,18 +69,6 @@ def test_against_bruteforce_oracle():
     assert abs(est.mean - oracle_mean) <= 3.0 * combined, (
         f"{est.mean} vs oracle {oracle_mean} (3se {3*combined:.2e})"
     )
-
-
-def test_monotone_cost_in_control():
-    rng = np.random.default_rng(31)
-    p = pay(theta=0.7, alpha1=0.2, alpha2=0.1, alpha3=0.1, c=2.0)
-    for _ in range(200):
-        x = float(rng.uniform(0.05, 5.0))
-        u1, u2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        if u1 == u2:
-            continue
-        st = State(s=0.0, x=x)
-        assert instantaneous_payoff(st, u1, p) > instantaneous_payoff(st, u2, p)
 
 
 def test_discount_consistency():

@@ -11,7 +11,7 @@ from stubborn import (
     constant_policy,
     expected_payoff,
     optimal_stubbornness,
-    simulate_path,
+    simulate_batch,
     validate_params,
 )
 
@@ -25,9 +25,12 @@ def test_readme_quickstart_flow():
     lagrange = LagrangeParams()
     validate_params(model, payoff, lagrange)
 
-    path = simulate_path(1.0, constant_policy(0.2), model, dt=0.01, horizon=1.0, seed=42)
-    assert len(path.states) == 101
-    assert path.states[0] == 1.0
+    states, clamped = simulate_batch(
+        1.0, constant_policy(0.2), model, dt=0.01, horizon=1.0, seed=42, n_paths=1
+    )
+    path = states[0]
+    assert len(path) == 101 and len(clamped[0]) == 101
+    assert path[0] == 1.0
 
     est = expected_payoff(
         1.0, constant_policy(0.2), model, payoff, dt=0.01, n_paths=1000, seed=42
