@@ -31,14 +31,13 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from . import __version__, checks, density, dynamics
-from .control import ClosedFormDomainError, optimal_stubbornness
+from .control import ClosedFormDomainError, optimal_stubbornness_row
 from .model import (
     LagrangeParams,
     ModeFlags,
     ModelParams,
     ParameterError,
     PayoffParams,
-    State,
     validate_params,
 )
 from .payoff import constant_policy, expected_payoffs
@@ -283,32 +282,40 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     num = config.numerics
     sg = config.resolved_s_grid()
     xg = num.x_grid
+    xs = [float(x) for x in np.linspace(xg.min, xg.max, xg.n)]
     mode_cell = config.modes.describe()
     rows = []
+    status_counts: dict[str, int] = {}
+    ranked_cells = 0
     for s in np.linspace(sg.min, sg.max, sg.n):
-        for x in np.linspace(xg.min, xg.max, xg.n):
-            try:
-                res = optimal_stubbornness(
-                    State(s=float(s), x=float(x)),
-                    config.model,
-                    config.payoff,
-                    config.lagrange,
-                    config.modes,
-                    dt=num.dt,
-                    n_paths=num.n_paths,
-                    seed=num.seed,
-                )
+        results, n_ranked = optimal_stubbornness_row(
+            float(s),
+            xs,
+            config.model,
+            config.payoff,
+            config.lagrange,
+            config.modes,
+            dt=num.dt,
+            n_paths=num.n_paths,
+            seed=num.seed,
+        )
+        ranked_cells += n_ranked
+        for x, res in zip(xs, results):
+            if isinstance(res, ClosedFormDomainError):
+                status = str(res)
+                rows.append(f"{_fmt(s)},{_fmt(x)},,,,0,{mode_cell},{status}")
+            else:
+                status = res.reason
                 rows.append(
                     f"{_fmt(s)},{_fmt(x)},{_fmt(res.u_star)},{_fmt(res.u_unclamped)},"
-                    f"{_fmt(res.residual)},{len(res.u_candidates)},{mode_cell},{res.reason}"
+                    f"{_fmt(res.residual)},{len(res.u_candidates)},{mode_cell},{status}"
                 )
-            except ClosedFormDomainError as exc:
-                rows.append(f"{_fmt(s)},{_fmt(x)},,,,0,{mode_cell},{exc}")
+            status_counts[status] = status_counts.get(status, 0) + 1
     out = out_dir / "optimize.csv"
     _write_csv(
         out, "s,x,u_star,u_unclamped,residual,n_candidates,mode_flags,status", rows
     )
-    return [str(out)], True, {}
+    return [str(out)], True, {"status_counts": status_counts, "ranked_cells": ranked_cells}
 
 
 def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .lagrangian import derivatives
 from .model import (
@@ -287,6 +287,99 @@ def root_scan(
     return [(u, fn(u)) for u in scan_sign_changes(fn, grid_n)]
 
 
+def _closed_form_candidates(
+    state: State,
+    model: ModelParams,
+    payoff: PayoffParams,
+    lagrange: LagrangeParams,
+    modes: ModeFlags,
+) -> tuple[list[float], list[float]]:
+    """(z roots, candidates u = +sqrt(z) for z >= 0) of the closed form at (s, x)."""
+    coeffs = closed_form_coeffs(state, model, payoff, lagrange)
+    a, b, c = coeffs.quadratic_coeffs()
+    if a == 0.0 and b == 0.0 and c == 0.0:
+        z_roots: list[float] = []
+    else:
+        z_roots = solve_quartic(coeffs, modes.closed_form_mode)
+    return z_roots, [math.sqrt(z) for z in z_roots if z >= 0.0]
+
+
+def optimal_stubbornness_row(
+    s: float,
+    xs: Sequence[float],
+    model: ModelParams,
+    payoff: PayoffParams,
+    lagrange: LagrangeParams,
+    modes: ModeFlags,
+    dt: float,
+    n_paths: int,
+    seed: int,
+) -> tuple[list[OptimalControlResult | ClosedFormDomainError], int]:
+    """`optimal_stubbornness` at (s, x) for every x in xs, ranked in one pass.
+
+    Returns (results, ranked cell count).  results[i] equals
+    optimal_stubbornness(State(s, xs[i]), ...) exactly, or is the
+    ClosedFormDomainError that call raises.  Every cell at one s has the
+    same remaining horizon, so it ranks with the same noise: the
+    candidates of all cells that need ranking go to one `expected_payoffs`
+    call, each policy starting from its own cell's x.
+    """
+    if s > payoff.horizon:
+        raise ParameterError("s must not exceed horizon")
+    cells: list[tuple[State, list[float], list[float]] | ClosedFormDomainError] = []
+    for x in xs:
+        state = State(s=s, x=x)
+        try:
+            cells.append((state, *_closed_form_candidates(state, model, payoff, lagrange, modes)))
+        except ClosedFormDomainError as exc:
+            cells.append(exc)
+    remaining = payoff.horizon - s
+    ranked: list[int] = []  # cells with several candidates and horizon left
+    if remaining >= dt / 2.0:
+        ranked = [
+            i
+            for i, cell in enumerate(cells)
+            if not isinstance(cell, ClosedFormDomainError) and len(cell[2]) >= 2
+        ]
+    chosen: dict[int, tuple[float, str]] = {}  # cell index -> (u, status)
+    if ranked:
+        n_rem = max(1, round(remaining / dt))
+        payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
+        rows = [(cells[i][0].x, u) for i in ranked for u in sorted(cells[i][2])]
+        estimates = iter(expected_payoffs(
+            [x for x, _u in rows], [constant_policy(u) for _x, u in rows],
+            model, payoff_rem, dt, n_paths, seed,
+        ))
+        for i in ranked:
+            candidates = sorted(cells[i][2])
+            best_u, best_j = candidates[0], -math.inf
+            for u, est in zip(candidates, estimates):
+                if est.mean > best_j:
+                    best_u, best_j = u, est.mean
+            chosen[i] = (best_u, "ok" if best_j > -math.inf else "no valid ranking path")
+
+    results: list[OptimalControlResult | ClosedFormDomainError] = []
+    for i, cell in enumerate(cells):
+        if isinstance(cell, ClosedFormDomainError):
+            results.append(cell)
+            continue
+        state, z_roots, candidates = cell
+        if not candidates:
+            u_unclamped, reason = 0.0, "trivial root only"
+        else:
+            u_unclamped, reason = chosen.get(i, (min(candidates), "ok"))
+        u_star = clamp_control(u_unclamped)
+        results.append(OptimalControlResult(
+            z_roots=tuple(z_roots),
+            u_candidates=tuple(candidates),
+            u_star=u_star,
+            u_unclamped=u_unclamped,
+            residual=nash_residual(state, u_star, model, payoff, lagrange, modes),
+            reason=reason,
+        ))
+    return results, len(ranked)
+
+
 def optimal_stubbornness(
     state: State,
     model: ModelParams,
@@ -308,43 +401,12 @@ def optimal_stubbornness(
     go to the smaller u and a NaN mean never wins.  If no candidate has a
     valid ranking path, the smallest is reported with the status
     "no valid ranking path".  With no nonnegative real root the trivial
-    solution u = 0 is reported.
+    solution u = 0 is reported.  This is `optimal_stubbornness_row` with
+    one cell.
     """
-    if state.s > payoff.horizon:
-        raise ParameterError("s must not exceed horizon")
-    coeffs = closed_form_coeffs(state, model, payoff, lagrange)
-    a, b, c = coeffs.quadratic_coeffs()
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        z_roots: list[float] = []
-    else:
-        z_roots = solve_quartic(coeffs, modes.closed_form_mode)
-    candidates = [math.sqrt(z) for z in z_roots if z >= 0.0]
-
-    def result(u_unclamped: float, reason: str) -> OptimalControlResult:
-        u_star = clamp_control(u_unclamped)
-        res = nash_residual(state, u_star, model, payoff, lagrange, modes)
-        return OptimalControlResult(
-            z_roots=tuple(z_roots),
-            u_candidates=tuple(candidates),
-            u_star=u_star,
-            u_unclamped=u_unclamped,
-            residual=res,
-            reason=reason,
-        )
-
-    if not candidates:
-        return result(0.0, "trivial root only")
-    remaining = payoff.horizon - state.s
-    if len(candidates) == 1 or remaining < dt / 2.0:
-        return result(min(candidates), "ok")
-    n_rem = max(1, round(remaining / dt))
-    payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
-    ranked = sorted(candidates)
-    estimates = expected_payoffs(
-        state.x, [constant_policy(u) for u in ranked], model, payoff_rem, dt, n_paths, seed
+    (result,), _n_ranked = optimal_stubbornness_row(
+        state.s, [state.x], model, payoff, lagrange, modes, dt, n_paths, seed
     )
-    best_u, best_j = ranked[0], -math.inf
-    for u, est in zip(ranked, estimates):
-        if est.mean > best_j:
-            best_u, best_j = u, est.mean
-    return result(best_u, "ok" if best_j > -math.inf else "no valid ranking path")
+    if isinstance(result, ClosedFormDomainError):
+        raise result
+    return result

@@ -64,9 +64,6 @@ class DensityGrid:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"normalized grid integrates to {total}, not 1")
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.psi, self.x_grid))
-
 
 def gaussian_density_grid(x_grid: np.ndarray, center: float, width: float) -> DensityGrid:
     """Normalized Gaussian bump at s = 0 with zeroed endpoints, for initial conditions."""

@@ -21,9 +21,18 @@ The recursion has a leading control axis: it steps a (k, n_paths) block
 for k policies at once and draws each step's noise once for the block,
 shared by all k rows, so comparing policies uses common random numbers
 literally.  Because the draw depends only on (seed, path, step), every
-row is bit-identical to a run of that policy alone.  A block holds at
-most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS` path-policy pairs
-(16384 paths for one or two policies, 1560 for twenty-one).
+row is bit-identical to a run of that policy alone.  Each row may also
+start from its own state (`x0` per row): `optimize` ranks the candidates
+of every cell at one s in a single pass that way.
+
+A block holds at most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS`
+path-policy pairs (16384 paths for one or two policies, 1560 for
+twenty-one).  Blocks run on worker threads unless a block has more rows
+(policies) than paths, as in an `optimize` ranking pass (about 200-280
+candidate rows in blocks of 117-159 paths).  A step of such a block is
+mostly one Python policy call per short row, which holds the GIL: a
+second thread did not reliably shorten that pass and held a second block
+in memory.
 """
 
 from __future__ import annotations
@@ -107,7 +116,7 @@ def n_steps_for(horizon: float, dt: float) -> int:
 
 
 def _em_steps(
-    x0: float,
+    x0: float | Sequence[float] | np.ndarray,
     policies: Sequence[PolicyFn],
     model: ModelParams,
     dt: float,
@@ -120,8 +129,9 @@ def _em_steps(
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Step paths [first_path, first_path + n_paths) from x0 at time s0.
 
-    Row i of the (len(policies), n_paths) state block follows policies[i];
-    every row sees the same noise draw at each step.  Yields
+    Row i of the (len(policies), n_paths) state block follows policies[i]
+    from x0, or from x0[i] when x0 holds one start state per policy; every
+    row sees the same noise draw at each step.  Yields
     (s_j, x_j, u_j, x_next, hit_j) for j = 0..n_steps-1, all but s_j of
     that shape, where u_j is the policy clipped to [0, 1] and hit_j marks
     raw updates below 0.  The noise step index j counts from 0 whatever s0
@@ -129,8 +139,14 @@ def _em_steps(
     (moment-law validation).  The yielded arrays are read-only to the
     caller.
     """
+    starts = np.asarray(x0, dtype=np.float64)
+    if starts.ndim and starts.shape != (len(policies),):
+        raise ValueError(
+            f"x0 holds {starts.size} start states for {len(policies)} policies"
+        )
     sqrt_dt = math.sqrt(dt)
-    x = np.full((len(policies), n_paths), float(x0))
+    x = np.empty((len(policies), n_paths))
+    x[...] = starts.reshape(-1, 1)
     for j in range(n_steps):
         s_j = s0 + j * dt
         u = np.empty_like(x)
@@ -162,12 +178,13 @@ def _for_each_chunk(
 
     A block holds min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies) paths, at
     least one.  Blocks run on up to STUBBORN_THREADS threads, or inline
-    when there is only one.  Each call must write only the [lo:hi] slice of
-    arrays its caller owns, so results do not depend on the worker count.
+    when there is only one or a block holds fewer paths than policies.
+    Each call must write only the [lo:hi] slice of arrays its caller owns,
+    so results do not depend on the worker count.
     """
     size = max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies))
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(_worker_count(), len(blocks))
+    workers = min(_worker_count(), len(blocks)) if size >= n_policies else 1
     if workers <= 1:
         for lo, hi in blocks:
             work(lo, hi)

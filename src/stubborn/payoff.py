@@ -12,6 +12,8 @@ engine steps all of them on one block of paths and draws each step's
 noise once for the block, so the estimates share common random numbers
 and each equals `expected_payoff` with that policy alone, bit for bit.
 Blocks then hold fewer paths (see `dynamics`), which changes no result.
+Each policy may start from its own state: `x0` is then one start state per
+policy, and the estimates still share their noise path by path.
 
 Paths that reach the x = 0 clamp while exercising u > 0 make the cost term
 singular; such paths are flagged invalid and excluded from the estimate,
@@ -73,7 +75,7 @@ def expected_payoff(
 
 
 def expected_payoffs(
-    x0: float,
+    x0: float | Sequence[float] | np.ndarray,
     policies: Sequence[dynamics.PolicyFn],
     model: ModelParams,
     payoff: PayoffParams,
@@ -83,9 +85,11 @@ def expected_payoffs(
 ) -> list[PayoffEstimate]:
     """Monte Carlo estimates of J under each policy, in order.
 
-    Path p sees the same noise under every policy (common random numbers),
-    drawn once per step for all of them; element i equals
-    expected_payoff(x0, policies[i], ...) exactly.
+    x0 is one start state for every policy, or one per policy.  Path p
+    sees the same noise under every policy (common random numbers), drawn
+    once per step for all of them; element i equals
+    expected_payoff(x0, policies[i], ...) exactly, or
+    expected_payoff(x0[i], policies[i], ...) with per-policy starts.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")

@@ -207,7 +207,9 @@ def test_criterion_8_density_step_equivalence():
             g_kernel = kernel_step(g_kernel, 0.01, fields, gradient_correction=False)
             g_schro = schrodinger_step(g_schro, 0.01, fields)
             worst_norm = max(
-                worst_norm, abs(g_kernel.mass() - 1.0), abs(g_schro.mass() - 1.0)
+                worst_norm,
+                abs(np.trapezoid(g_kernel.psi, g_kernel.x_grid) - 1.0),
+                abs(np.trapezoid(g_schro.psi, g_schro.x_grid) - 1.0),
             )
         diff = float(np.abs(g_kernel.psi - g_schro.psi).max())
     ok = diff <= 1e-8 and worst_norm <= 1e-9

@@ -221,6 +221,29 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     sweep = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["diagnostics"]
     assert len(sweep["clamp_fraction"]) == 11
     assert all(0.0 <= f <= 1.0 for f in sweep["clamp_fraction"])
+    # one count per status string, over every optimize.csv row
+    opt = json.loads((tmp_path / "optimize" / "manifest.json").read_text())["diagnostics"]
+    statuses = [row.rsplit(",", 1)[1] for row in
+                (tmp_path / "optimize" / "optimize.csv").read_text().strip().split("\n")[1:]]
+    assert opt["status_counts"] == {s: statuses.count(s) for s in set(statuses)}
+    assert opt["ranked_cells"] == 0  # no cell here has two candidates
+    # the feedback-grid scenario: 3 x 1025 cells, 103 + 139 of them ranked
+    grid_doc = {
+        "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
+        "payoff": dict(MINIMAL["payoff"], c=2.5),
+        "lagrange": {"l0": 0.4, "l1": 0.0},
+        "modes": {"derivative_mode": "paper", "nash_mode": "paper"},
+        "numerics": {
+            "dt": 0.01, "n_paths": 200, "seed": 1009,
+            "x_grid": {"min": 0.2, "max": 3.0, "n": 1025},
+            "s_grid": {"min": 0.0, "max": 1.0, "n": 3},
+        },
+    }
+    assert main(["optimize", "--config", write_config(tmp_path, grid_doc, "grid.json"),
+                 "--out-dir", str(tmp_path / "grid")]) == 0
+    grid = json.loads((tmp_path / "grid" / "manifest.json").read_text())["diagnostics"]
+    assert grid["status_counts"] == {"ok": 1912, "trivial root only": 1163}
+    assert grid["ranked_cells"] == 242
     # the initial bump sits four widths from the grid edges: every step warns
     dens = json.loads((tmp_path / "density" / "manifest.json").read_text())["diagnostics"]
     assert [w["step"] for w in dens["boundary_warnings"]] == [1, 2, 3, 4]
@@ -253,14 +276,6 @@ def test_optimize_domain_cells(tmp_path):
 
 
 def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
-    calls = []
-    ranked = control.expected_payoffs
-
-    def spy(x0, policies, model, payoff, dt, n_paths, seed):
-        calls.append((x0, len(policies), n_paths))
-        return ranked(x0, policies, model, payoff, dt, n_paths, seed)
-
-    monkeypatch.setattr(control, "expected_payoffs", spy)
     # these cells have two nonnegative candidates, so both get ranked
     doc = {
         "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
@@ -271,14 +286,44 @@ def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
             x_grid={"min": 0.2, "max": 0.3, "n": 2}, s_grid={"min": 0.0, "max": 0.5, "n": 2},
         ),
     }
+    config = parse_config(json.loads(json.dumps(doc)))
+    cells = [(s, x) for s in (0.0, 0.5) for x in (0.2, 0.3)]
+    candidates = {
+        cell: control.optimal_stubbornness(
+            stubborn.State(*cell), config.model, config.payoff, config.lagrange,
+            config.modes, dt=0.01, n_paths=37,
+        ).u_candidates
+        for cell in cells
+    }
+    calls = []
+    ranked = control.expected_payoffs
+
+    def spy(x0, policies, model, payoff, dt, n_paths, seed):
+        us = [policy(0.0, None) for policy in policies]  # constant controls
+        calls.append((list(x0), us, payoff.horizon, n_paths))
+        return ranked(x0, policies, model, payoff, dt, n_paths, seed)
+
+    monkeypatch.setattr(control, "expected_payoffs", spy)
     code = main(["optimize", "--config", write_config(tmp_path, doc),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 0
     rows = [line.split(",") for line in
             (tmp_path / "out" / "optimize.csv").read_text().strip().split("\n")[1:]]
-    assert len(rows) == 4 and all(row[5] == "2" for row in rows)
-    # one call per cell, carrying both of its candidates
-    assert calls == [(float(row[1]), 2, 37) for row in rows]
+    assert [(float(row[0]), float(row[1])) for row in rows] == cells
+    assert all(row[5] == "2" for row in rows)
+    # one call per s, carrying the candidates of both cells, each from its own x
+    want = []
+    for s in (0.0, 0.5):
+        row_cells = [cell for cell in cells if cell[0] == s]
+        want.append((
+            [x for _s, x in row_cells for _u in candidates[(s, x)]],
+            [u for cell in row_cells for u in sorted(candidates[cell])],
+            pytest.approx(1.0 - s),
+            37,
+        ))
+    assert calls == want
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["ranked_cells"] == 4
 
 
 def test_density_snapshots(tmp_path):

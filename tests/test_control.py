@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stubborn import dynamics
 from stubborn.control import (
     ClosedFormCoeffs,
     ClosedFormDomainError,
@@ -12,6 +13,7 @@ from stubborn.control import (
     nash_residual,
     nash_residual_scale,
     optimal_stubbornness,
+    optimal_stubbornness_row,
     root_scan,
     scan_sign_changes,
     solve_quartic,
@@ -335,6 +337,49 @@ def test_all_invalid_ranking_paths_give_smallest_candidate():
         assert math.isnan(est.mean)
     assert res.u_star == min(res.u_candidates)
     assert res.reason == "no valid ranking path"
+
+
+ROW_MODEL = ModelParams(a=2.0, sigma1=0.5, sigma2=0.5)
+ROW_PAYOFF = pay(c=2.5)
+ROW_LAGRANGE = LagrangeParams(l0=0.4, l1=0.0)
+# below the domain, two candidates, one candidate, trivial root only
+ROW_XS = [0.0, 0.2, 0.3, 0.45, 1.0, 1.5, 2.8]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**63),
+    n_paths=st.integers(1, 64),
+    threads=st.sampled_from(["1", "2"]),
+)
+def test_row_equals_cell_by_cell(s, seed, n_paths, threads):
+    """One ranking pass over a row gives each cell's single-cell result.
+
+    The row's six ranking rows run in blocks of 8 paths, so two threads
+    reach the pool from 9 paths on.
+    """
+    args = (ROW_MODEL, ROW_PAYOFF, ROW_LAGRANGE, ModeFlags())
+    kwargs = dict(dt=0.01, n_paths=n_paths, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_PATHS", 8)
+        mp.setenv("STUBBORN_THREADS", threads)
+        row, n_ranked = optimal_stubbornness_row(s, ROW_XS, *args, **kwargs)
+    assert len(row) == len(ROW_XS)
+    assert isinstance(row[0], ClosedFormDomainError)
+    sizes = [len(res.u_candidates) for res in row[1:]]
+    assert {0, 1, 2} <= set(sizes)
+    # the last step has no horizon left to rank over
+    assert n_ranked == (0 if s == 1.0 else sizes.count(2))
+    for x, got in zip(ROW_XS, row):
+        try:
+            want = optimal_stubbornness(State(s=s, x=x), *args, **kwargs)
+        except ClosedFormDomainError as exc:
+            want = exc
+        if isinstance(want, ClosedFormDomainError):
+            assert isinstance(got, ClosedFormDomainError) and str(got) == str(want), x
+        else:
+            assert got == want, x
 
 
 def test_scan_finds_both_roots_even_on_coarse_grid():

@@ -245,8 +245,8 @@ def test_zero_gradient_equivalence():
         g_k = kernel_step(g_k, 0.01, fields, gradient_correction=False)
         g_s = schrodinger_step(g_s, 0.01, fields)
     assert np.abs(g_k.psi - g_s.psi).max() <= 1e-8
-    assert abs(g_k.mass() - 1.0) <= 1e-9
-    assert abs(g_s.mass() - 1.0) <= 1e-9
+    assert abs(np.trapezoid(g_k.psi, g_k.x_grid) - 1.0) <= 1e-9
+    assert abs(np.trapezoid(g_s.psi, g_s.x_grid) - 1.0) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -298,7 +298,7 @@ def test_positivity_and_normalization_preserved():
     for _ in range(10):
         grid = schrodinger_step(grid, 0.01, fields)
         assert np.all(grid.psi >= 0.0)
-        assert abs(grid.mass() - 1.0) <= 1e-9
+        assert abs(np.trapezoid(grid.psi, grid.x_grid) - 1.0) <= 1e-9
 
 
 def test_negative_curvature_not_normalizable():

@@ -1,9 +1,10 @@
+import concurrent.futures
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stubborn import dynamics
 from stubborn.dynamics import (
@@ -108,6 +109,16 @@ ENGINE_CALLS = {
 }
 
 
+class PoolSpy(concurrent.futures.ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the worker count of each pool."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        PoolSpy.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_paths=st.integers(1, 40),
@@ -122,12 +133,54 @@ def test_thread_count_independence(n_paths, block, threads, seed):
             mp.setenv("STUBBORN_THREADS", "1")
             reference = call(n_paths, seed)
             mp.setattr(dynamics, "_BLOCK_PATHS", block)
+            mp.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
             mp.setenv("STUBBORN_THREADS", threads)
+            PoolSpy.sizes = []
             blocked = call(n_paths, seed)
+        # two or more blocks of one policy on two threads use the pool
+        pooled = threads == "2" and n_paths > block
+        assert PoolSpy.sizes == ([2] if pooled else []), name
         for want, got in zip(reference, blocked, strict=True):
             want, got = np.asarray(want), np.asarray(got)
             assert want.dtype == got.dtype, name
             assert np.array_equal(want, got, equal_nan=True), name
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_policies, threads, pool",
+    [
+        (19, 1, "2", [2]),  # one full block and a partial one
+        (9, 1, "2", []),  # a single block runs inline
+        (20, 1, "2", [2]),
+        (25, 1, "2", [2]),
+        (45, 1, "4", [4]),
+        (45, 1, "8", [5]),  # never more threads than blocks
+        (40, 1, "1", []),
+        (30, 4, "2", [2]),  # 16 pairs per block hold 4 paths of 4 policies
+        (7, 4, "2", [2]),
+        (30, 5, "2", []),  # 3 paths of 5 policies: more rows than paths
+        (8, 6, "2", []),
+    ],
+)
+def test_thread_fan_out(monkeypatch, n_paths, n_policies, threads, pool):
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMS", 16)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+    monkeypatch.setenv("STUBBORN_THREADS", threads)
+    PoolSpy.sizes = []
+    seen = []
+    dynamics._for_each_chunk(n_paths, lambda lo, hi: seen.append((lo, hi)), n_policies)
+    assert PoolSpy.sizes == pool
+    size = min(10, 16 // n_policies)
+    assert sorted(seen) == [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
+def test_per_row_start_states_must_match_the_policies():
+    steps = dynamics._em_steps([0.1, 0.2], [ZERO_POLICY], ENGINE_MODEL, 0.05, 2, 0, 0, 3)
+    with pytest.raises(ValueError, match="2 start states for 1 policies"):
+        next(steps)
+    with pytest.raises(ValueError, match="start states"):
+        expected_payoffs([0.4] * 3, [ZERO_POLICY] * 2, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, 4, 0)
 
 
 def same_estimate(a, b):
@@ -150,27 +203,44 @@ def make_policy(kind, c):
         max_size=24,
     ),
     drain_at=st.integers(0, 24),
-    x0=st.sampled_from([0.0, 0.05, 0.4]),
+    starts=st.lists(st.sampled_from([0.0, 0.05, 0.4]), min_size=25, max_size=25),
+    per_row=st.booleans(),
     n_paths=st.integers(1, 40),
     block=st.integers(1, 8),
     elems=st.integers(1, 64),
     threads=st.sampled_from(["1", "2"]),
     seed=st.integers(0, 2**63),
 )
+# three per-row starts in blocks of 4 paths on two threads: reaches the pool
+@example(
+    specs=[("feedback", 0.3), ("constant", 0.2)], drain_at=1,
+    starts=[0.05, 0.4] * 12 + [0.0], per_row=True,
+    n_paths=9, block=4, elems=64, threads="2", seed=7,
+)
 def test_batched_payoffs_equal_single_policy_runs(
-    specs, drain_at, x0, n_paths, block, elems, threads, seed
+    specs, drain_at, starts, per_row, n_paths, block, elems, threads, seed
 ):
     """expected_payoffs over k policies equals k expected_payoff calls exactly.
 
-    The u = 1 "drain" policy drives paths into the clamp (and, from x0 = 0,
-    makes every path invalid, so the mean is NaN).
+    x0 is one start state for all policies or one per policy.  The u = 1
+    "drain" policy drives paths into the clamp; from x0 = 0 it makes every
+    path invalid, so the mean is NaN.  With per-row starts the drain row
+    always starts at 0.
     """
-    specs.insert(drain_at % (len(specs) + 1), ("constant", 1.0))
+    drain = drain_at % (len(specs) + 1)
+    specs.insert(drain, ("constant", 1.0))
     policies = [make_policy(kind, c) for kind, c in specs]
+    starts = starts[: len(policies)]
+    if per_row:
+        starts[drain] = 0.0
+    x0 = starts if per_row else starts[0]
     args = (ENGINE_MODEL, ENGINE_PAYOFF, 0.05, n_paths, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("STUBBORN_THREADS", "1")
-        singles = [expected_payoff(x0, policy, *args) for policy in policies]
+        singles = [
+            expected_payoff(starts[i] if per_row else x0, policy, *args)
+            for i, policy in enumerate(policies)
+        ]
         mp.setattr(dynamics, "_BLOCK_PATHS", block)
         mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
         mp.setenv("STUBBORN_THREADS", threads)
@@ -178,6 +248,8 @@ def test_batched_payoffs_equal_single_policy_runs(
     assert len(batched) == len(policies)
     for spec, want, got in zip(specs, singles, batched):
         assert same_estimate(want, got), (spec, want, got)
+    if per_row:
+        assert math.isnan(batched[drain].mean)
 
 
 def test_noise_is_random_access():
