@@ -21,7 +21,6 @@ from .model import (
 from .dynamics import diffusion, drift, simulate_batch
 from .payoff import (
     PayoffEstimate,
-    constant_policy,
     expected_payoff,
     expected_payoffs,
     payoff_stationarity,
@@ -66,7 +65,6 @@ __all__ = [
     "drift",
     "simulate_batch",
     "PayoffEstimate",
-    "constant_policy",
     "expected_payoff",
     "expected_payoffs",
     "payoff_stationarity",

@@ -125,7 +125,6 @@ def check_finite_differences(
             sc.model,
             sc.payoff,
             sc.lagrange,
-            mode="consistent",
             step=1e-3,
         )
         worst_fd = max(worst_fd, report.max_error())
@@ -309,14 +308,13 @@ def check_root_residuals(
 def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
     """Frozen-dynamics discount case (exact) and driftless stochastic case (3 SE)."""
     frozen = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
-    policy = lambda s, x: 0.0
     r = 0.35
     problem = FKProblem(
         V=lambda s, x, u: r,
         Theta=lambda s, x, u: 0.0,
         T_term=lambda t, x: x,
         dynamics=frozen,
-        policy=policy,
+        u=0.0,
         horizon=1.0,
     )
     s0, x0 = 0.2, 1.3
@@ -330,7 +328,7 @@ def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
         Theta=lambda s, x, u: 0.0,
         T_term=lambda t, x: x,
         dynamics=noisy,
-        policy=policy,
+        u=0.0,
         horizon=1.0,
     )
     mean2, se2 = fk_estimate(problem2, 0.0, 1.0, dt, n_paths, seed)

@@ -40,7 +40,7 @@ from .model import (
     PayoffParams,
     validate_params,
 )
-from .payoff import constant_policy, expected_payoffs
+from .payoff import expected_payoffs
 
 
 class ConfigError(ValueError):
@@ -239,7 +239,7 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     num = config.numerics
     states, clamped = dynamics.simulate_batch(
         num.x0,
-        constant_policy(0.0),
+        0.0,
         config.model,
         num.dt,
         config.payoff.horizon,
@@ -261,7 +261,7 @@ def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict
     u_grid = np.linspace(0.0, 1.0, num.u_grid_n)
     estimates = expected_payoffs(
         num.x0,
-        [constant_policy(float(u)) for u in u_grid],
+        u_grid,
         config.model,
         config.payoff,
         num.dt,

@@ -34,7 +34,7 @@ from .model import (
     State,
     clamp_control,
 )
-from .payoff import constant_policy, expected_payoffs
+from .payoff import expected_payoffs
 
 X_MIN = 1e-6
 BISECT_WIDTH = 1e-10
@@ -322,7 +322,7 @@ def optimal_stubbornness_row(
     ClosedFormDomainError that call raises.  Every cell at one s has the
     same remaining horizon, so it ranks with the same noise: the
     candidates of all cells that need ranking go to one `expected_payoffs`
-    call, each policy starting from its own cell's x.
+    call, each candidate starting from its own cell's x.
     """
     if s > payoff.horizon:
         raise ParameterError("s must not exceed horizon")
@@ -347,7 +347,7 @@ def optimal_stubbornness_row(
         payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
         rows = [(cells[i][0].x, u) for i in ranked for u in sorted(cells[i][2])]
         estimates = iter(expected_payoffs(
-            [x for x, _u in rows], [constant_policy(u) for _x, u in rows],
+            [x for x, _u in rows], [u for _x, u in rows],
             model, payoff_rem, dt, n_paths, seed,
         ))
         for i in ranked:

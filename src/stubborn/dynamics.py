@@ -17,22 +17,23 @@ keeps only the final states), `payoff.expected_payoffs` and
 `feynman_kac.fk_estimate` are per-step accumulators over those two
 functions.
 
-The recursion has a leading control axis: it steps a (k, n_paths) block
-for k policies at once and draws each step's noise once for the block,
-shared by all k rows, so comparing policies uses common random numbers
-literally.  Because the draw depends only on (seed, path, step), every
-row is bit-identical to a run of that policy alone.  Each row may also
-start from its own state (`x0` per row): `optimize` ranks the candidates
-of every cell at one s in a single pass that way.
+A control is a constant stubbornness u, as in the paper.  The recursion
+has a leading control axis: it steps a (k, n_paths) block for k controls
+at once and draws each step's noise once for the block, shared by all k
+rows, so comparing controls uses common random numbers literally.
+Because the draw depends only on (seed, path, step), every row is
+bit-identical to a run of that control alone.  Each row may also start
+from its own state (`x0` per row): `optimize` ranks the candidates of
+every cell at one s in a single pass that way.
 
 A block holds at most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS`
-path-policy pairs (16384 paths for one or two policies, 1560 for
+path-control pairs (16384 paths for one or two controls, 1560 for
 twenty-one).  Blocks run on worker threads unless a block has more rows
-(policies) than paths, as in an `optimize` ranking pass (about 200-280
-candidate rows in blocks of 117-159 paths).  A step of such a block is
-mostly one Python policy call per short row, which holds the GIL: a
-second thread did not reliably shorten that pass and held a second block
-in memory.
+(controls) than paths, as in an `optimize` ranking pass (about 200-280
+candidate rows in blocks of 117-159 paths).  A second thread did not
+shorten such a pass: `optimize` on the perfbench `feedback_grid`
+scenario took a median 0.31 s with or without this rule on 2 cores, and
+the thread raised peak RSS by 2 MB, the second block's working set.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ import numpy as np
 
 from .model import ModelParams
 
-PolicyFn = Callable[[float, np.ndarray], np.ndarray | float]
-
 STEP_TOL = 1e-9
 
-# Paths per block, and path-policy pairs per block when several policies
+# Paths per block, and path-control pairs per block when several controls
 # share one; the pair cap bounds each worker's working set.  Block
-# boundaries depend only on n_paths and the number of policies, never on
+# boundaries depend only on n_paths and the number of controls, never on
 # the worker count.
 _BLOCK_PATHS = 16384
 _BLOCK_ELEMS = 32768
@@ -117,7 +116,7 @@ def n_steps_for(horizon: float, dt: float) -> int:
 
 def _em_steps(
     x0: float | Sequence[float] | np.ndarray,
-    policies: Sequence[PolicyFn],
+    controls: Sequence[float] | np.ndarray,
     model: ModelParams,
     dt: float,
     n_steps: int,
@@ -129,30 +128,27 @@ def _em_steps(
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Step paths [first_path, first_path + n_paths) from x0 at time s0.
 
-    Row i of the (len(policies), n_paths) state block follows policies[i]
-    from x0, or from x0[i] when x0 holds one start state per policy; every
-    row sees the same noise draw at each step.  Yields
-    (s_j, x_j, u_j, x_next, hit_j) for j = 0..n_steps-1, all but s_j of
-    that shape, where u_j is the policy clipped to [0, 1] and hit_j marks
-    raw updates below 0.  The noise step index j counts from 0 whatever s0
-    is.  With clamp=False x_next is the raw pre-clamp recursion
-    (moment-law validation).  The yielded arrays are read-only to the
-    caller.
+    Row i of the (len(controls), n_paths) state block applies the constant
+    control controls[i] from x0, or from x0[i] when x0 holds one start
+    state per row; every row sees the same noise draw at each step.  Yields
+    (s_j, x_j, u, x_next, hit_j) for j = 0..n_steps-1.  u is the
+    (len(controls), 1) column of the controls clipped to [0, 1], one array
+    for every step; x_j, x_next and hit_j have the block's shape, and hit_j
+    marks raw updates below 0.  The noise step index j counts from 0
+    whatever s0 is.  With clamp=False x_next is the raw pre-clamp
+    recursion (moment-law validation).  The yielded arrays are read-only to
+    the caller.
     """
+    u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
+    u.flags.writeable = False
     starts = np.asarray(x0, dtype=np.float64)
-    if starts.ndim and starts.shape != (len(policies),):
-        raise ValueError(
-            f"x0 holds {starts.size} start states for {len(policies)} policies"
-        )
+    if starts.ndim and starts.shape != (len(u),):
+        raise ValueError(f"x0 holds {starts.size} start states for {len(u)} controls")
     sqrt_dt = math.sqrt(dt)
-    x = np.empty((len(policies), n_paths))
+    x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
     for j in range(n_steps):
         s_j = s0 + j * dt
-        u = np.empty_like(x)
-        for row, policy in enumerate(policies):
-            u[row] = policy(s_j, x[row])
-        np.clip(u, 0.0, 1.0, out=u)
         w = step_normals(seed, first_path, n_paths, j)
         raw = x + drift(x, u, model) * dt + diffusion(x, model) * sqrt_dt * w
         hit = raw < 0.0
@@ -172,19 +168,21 @@ def _worker_count() -> int:
 
 
 def _for_each_chunk(
-    n_paths: int, work: Callable[[int, int], None], n_policies: int = 1
+    n_paths: int, work: Callable[[int, int], None], n_controls: int = 1
 ) -> None:
     """Call work(lo, hi) on every fixed block of [0, n_paths).
 
-    A block holds min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies) paths, at
+    A block holds min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls) paths, at
     least one.  Blocks run on up to STUBBORN_THREADS threads, or inline
-    when there is only one or a block holds fewer paths than policies.
+    when there is only one or a block holds fewer paths than controls:
+    such a pass measured no faster on threads, which only held a second
+    block in memory (see the module docstring).
     Each call must write only the [lo:hi] slice of arrays its caller owns,
     so results do not depend on the worker count.
     """
-    size = max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_policies))
+    size = max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(_worker_count(), len(blocks)) if size >= n_policies else 1
+    workers = min(_worker_count(), len(blocks)) if size >= n_controls else 1
     if workers <= 1:
         for lo, hi in blocks:
             work(lo, hi)
@@ -196,16 +194,16 @@ def _for_each_chunk(
 
 def simulate_batch(
     x0: float,
-    policy: PolicyFn,
+    u: float,
     model: ModelParams,
     dt: float,
     horizon: float,
     seed: int,
     n_paths: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate n_paths trajectories; returns (states, clamped) matrices.
+    """Simulate n_paths trajectories under the constant control u.
 
-    Both have shape (n_paths, n_steps+1).
+    Returns (states, clamped) matrices, both of shape (n_paths, n_steps+1).
     """
     n_steps = n_steps_for(horizon, dt)
     states = np.empty((n_paths, n_steps + 1), dtype=np.float64)
@@ -213,7 +211,7 @@ def simulate_batch(
     states[:, 0] = x0
 
     def work(lo: int, hi: int) -> None:
-        steps = _em_steps(x0, [policy], model, dt, n_steps, seed, lo, hi - lo)
+        steps = _em_steps(x0, [u], model, dt, n_steps, seed, lo, hi - lo)
         for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
             states[lo:hi, j] = x_next[0]
             clamped[lo:hi, j] = hit[0]
@@ -224,7 +222,7 @@ def simulate_batch(
 
 def simulate_final(
     x0: float,
-    policy: PolicyFn,
+    u: float,
     model: ModelParams,
     dt: float,
     horizon: float,
@@ -244,7 +242,7 @@ def simulate_final(
     def work(lo: int, hi: int) -> None:
         block_clamped = clamp_any[lo:hi]
         for _s, _x, _u, x_next, hit in _em_steps(
-            x0, [policy], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
+            x0, [u], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
         ):
             block_clamped |= hit[0]
         final[lo:hi] = x_next[0]

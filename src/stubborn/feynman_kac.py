@@ -4,7 +4,7 @@
                    + int_s^t Theta(s1, x(s1), u(s1)) * exp(-int_s^{s1} V) ds1
                  | x(s) = x ],
 
-with x following the goal dynamics under a known feedback policy.  Inner
+with x following the goal dynamics under a known constant control u.  Inner
 integrals are left-endpoint Riemann sums on the Euler-Maruyama grid,
 accumulated step by step over `dynamics._em_steps`, the package's only
 Euler-Maruyama recursion.
@@ -31,13 +31,13 @@ TerminalField = Callable[[float, np.ndarray], np.ndarray | float]
 
 @dataclass(frozen=True)
 class FKProblem:
-    """Potential V(s, x, u), source Theta(s, x, u), terminal T(t, x), dynamics, policy."""
+    """Potential V(s, x, u), source Theta(s, x, u), terminal T(t, x), dynamics, control u."""
 
     V: ScalarField
     Theta: ScalarField
     T_term: TerminalField
     dynamics: ModelParams
-    policy: dynamics.PolicyFn
+    u: float
     horizon: float
 
 
@@ -62,7 +62,7 @@ def fk_estimate(
         disc = np.ones(m)
         theta_acc = np.zeros(m)
         for s_j, xs, u, x_next, _hit in dynamics._em_steps(
-            x, [problem.policy], problem.dynamics, dt, n_steps, seed, lo, m, s0=s
+            x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m, s0=s
         ):
             xs, u = xs[0], u[0]
             theta_acc += np.broadcast_to(problem.Theta(s_j, xs, u), (m,)) * disc * dt
@@ -93,7 +93,7 @@ def pde_stencil(
         raise ValueError("stencil steps must be positive")
     if s - hs < 0.0 or s + hs >= problem.horizon or x - hx < 0.0:
         raise ValueError("insufficient grid for the finite-difference stencil")
-    u = float(np.clip(problem.policy(s, np.asarray(x)), 0.0, 1.0))
+    u = float(np.clip(problem.u, 0.0, 1.0))
     xa = np.asarray(x)
     ua = np.asarray(u)
     v0 = float(problem.V(s, xa, ua))

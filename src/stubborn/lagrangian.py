@@ -326,10 +326,9 @@ def finite_difference_check(
     model: ModelParams,
     payoff: PayoffParams,
     lagrange: LagrangeParams,
-    mode: str = "consistent",
     step: float = 1e-5,
 ) -> FDCheckReport:
-    """Central-difference validation of derivatives() against f itself.
+    """Central-difference validation of derivatives(mode="consistent") against f itself.
 
     Stencils run in extended precision (longdouble) so that the second and
     mixed differences are not drowned by float64 cancellation at the
@@ -339,13 +338,12 @@ def finite_difference_check(
     value |f| at the point as its scale: the stencils difference values of
     f, so their error grows with |f|, and a partial that passes through
     zero (f_xx often does) is not measured against its own near-zero size.
-    A report is always produced; for mode="paper" the errors reproduce the
-    analytic mode gap.
+    The published partials differ from these by :func:`derivative_gap`.
     """
     if state.x - step <= 0.0:
         raise ValueError("x - step must stay positive for the stencil")
     Mbar = default_terminal_constant(payoff, state.x)
-    bundle = derivatives(state, u, model, payoff, lagrange, mode=mode, Mbar=Mbar)
+    bundle = derivatives(state, u, model, payoff, lagrange, mode="consistent", Mbar=Mbar)
 
     ld = np.longdouble
     s, x, uu, h = ld(state.s), ld(state.x), ld(u), ld(step)

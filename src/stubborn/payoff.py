@@ -7,13 +7,14 @@ omega*e^{-rt}*sqrt(x(t)).  The payoff integral uses a left-endpoint Riemann
 sum on the Euler-Maruyama grid, accumulated step by step over
 `dynamics._em_steps`, the package's only Euler-Maruyama recursion.
 
-`expected_payoffs` estimates J for several policies in one pass: the
-engine steps all of them on one block of paths and draws each step's
-noise once for the block, so the estimates share common random numbers
-and each equals `expected_payoff` with that policy alone, bit for bit.
-Blocks then hold fewer paths (see `dynamics`), which changes no result.
-Each policy may start from its own state: `x0` is then one start state per
-policy, and the estimates still share their noise path by path.
+`expected_payoffs` estimates J for several constant controls in one
+pass: the engine steps all of them on one block of paths and draws each
+step's noise once for the block, so the estimates share common random
+numbers and each equals `expected_payoff` with that control alone, bit
+for bit.  Blocks then hold fewer paths (see `dynamics`), which changes no
+result.  Each control may start from its own state: `x0` is then one
+start state per control, and the estimates still share their noise path
+by path.
 
 Paths that reach the x = 0 clamp while exercising u > 0 make the cost term
 singular; such paths are flagged invalid and excluded from the estimate,
@@ -29,12 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from . import dynamics
-from .model import ModelParams, PayoffParams, clamp_control
+from .model import ModelParams, PayoffParams
 
 
 @dataclass(frozen=True)
 class PayoffEstimate:
-    """Monte Carlo estimate of J under a fixed policy.
+    """Monte Carlo estimate of J under a constant control.
 
     mean/std_error are computed over the valid paths only; n_paths is the
     requested sample count, n_valid the count actually used.
@@ -58,62 +59,61 @@ class PayoffEstimate:
 
 def expected_payoff(
     x0: float,
-    policy: dynamics.PolicyFn,
+    u: float,
     model: ModelParams,
     payoff: PayoffParams,
     dt: float,
     n_paths: int,
     seed: int,
 ) -> PayoffEstimate:
-    """Monte Carlo estimate of J(policy) from n_paths simulated paths.
+    """Monte Carlo estimate of J(u) from n_paths simulated paths.
 
-    Deterministic for fixed (seed, dt, x0, params, policy): noise is keyed
-    per (seed, path_index, step_index) and paths are reduced in index
-    order.
+    Deterministic for fixed (seed, dt, x0, params, u): noise is keyed per
+    (seed, path_index, step_index) and paths are reduced in index order.
     """
-    return expected_payoffs(x0, [policy], model, payoff, dt, n_paths, seed)[0]
+    return expected_payoffs(x0, [u], model, payoff, dt, n_paths, seed)[0]
 
 
 def expected_payoffs(
     x0: float | Sequence[float] | np.ndarray,
-    policies: Sequence[dynamics.PolicyFn],
+    controls: Sequence[float] | np.ndarray,
     model: ModelParams,
     payoff: PayoffParams,
     dt: float,
     n_paths: int,
     seed: int,
 ) -> list[PayoffEstimate]:
-    """Monte Carlo estimates of J under each policy, in order.
+    """Monte Carlo estimates of J under each constant control, in order.
 
-    x0 is one start state for every policy, or one per policy.  Path p
-    sees the same noise under every policy (common random numbers), drawn
+    x0 is one start state for every control, or one per control.  Path p
+    sees the same noise under every control (common random numbers), drawn
     once per step for all of them; element i equals
-    expected_payoff(x0, policies[i], ...) exactly, or
-    expected_payoff(x0[i], policies[i], ...) with per-policy starts.
+    expected_payoff(x0, controls[i], ...) exactly, or
+    expected_payoff(x0[i], controls[i], ...) with per-control starts.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
-    if not policies:
-        raise ValueError("at least one policy is required")
+    if len(controls) == 0:
+        raise ValueError("at least one control is required")
     n_steps = dynamics.n_steps_for(payoff.horizon, dt)
     k = payoff.c / (payoff.r - payoff.mu_bar)
     bonus = payoff.omega * math.exp(-payoff.r * payoff.horizon)
-    shape = (len(policies), n_paths)
+    shape = (len(controls), n_paths)
     totals = np.empty(shape)
     clamp_flags = np.zeros(shape, dtype=bool)
     invalid = np.zeros(shape, dtype=bool)
 
     def work(lo: int, hi: int) -> None:
-        running = np.zeros((len(policies), hi - lo))
+        running = np.zeros((len(controls), hi - lo))
         block_invalid, block_clamped = invalid[:, lo:hi], clamp_flags[:, lo:hi]
         for s_j, x, u, x_next, hit in dynamics._em_steps(
-            x0, policies, model, dt, n_steps, seed, lo, hi - lo
+            x0, controls, model, dt, n_steps, seed, lo, hi - lo
         ):
             at_zero = x <= 0.0
             block_invalid |= at_zero & (u > 0.0)
             # Cost evaluated off the boundary only; x = 0 with u = 0
             # contributes nothing (the linear term vanishes there too).
-            # One expression, so no (policies, paths) temporary outlives
+            # One expression, so no (controls, paths) temporary outlives
             # the step.
             running += (
                 math.exp(-payoff.r * s_j)
@@ -126,14 +126,14 @@ def expected_payoffs(
             block_clamped |= hit
         totals[:, lo:hi] = running + bonus * np.sqrt(x_next)
 
-    dynamics._for_each_chunk(n_paths, work, len(policies))
+    dynamics._for_each_chunk(n_paths, work, len(controls))
     return [_estimate(*rows) for rows in zip(totals, clamp_flags, invalid)]
 
 
 def _estimate(
     totals: np.ndarray, clamp_flags: np.ndarray, invalid: np.ndarray
 ) -> PayoffEstimate:
-    """Reduce one policy's per-path totals and flags, in path order."""
+    """Reduce one control's per-path totals and flags, in path order."""
     n_paths = len(totals)
     valid = ~invalid
     n_valid = int(np.count_nonzero(valid))
@@ -153,16 +153,6 @@ def _estimate(
         clamp_fraction=float(np.count_nonzero(clamp_flags)) / n_paths,
         invalid_fraction=float(np.count_nonzero(invalid)) / n_paths,
     )
-
-
-def constant_policy(u: float) -> dynamics.PolicyFn:
-    """Policy that applies the same (clamped) control at every (s, x)."""
-    u_clamped = clamp_control(u)
-
-    def policy(s: float, x: np.ndarray) -> float:
-        return u_clamped
-
-    return policy
 
 
 def payoff_stationarity(
@@ -185,9 +175,9 @@ def payoff_stationarity(
         raise ValueError("h_u must be positive")
     if u_center - h_u < 0.0 or u_center + h_u > 1.0:
         raise ValueError("u_center +/- h_u must stay within [0, 1]")
-    policies = [constant_policy(u) for u in (u_center - h_u, u_center, u_center + h_u)]
+    controls = (u_center - h_u, u_center, u_center + h_u)
     j_minus, j_center, j_plus = (
-        est.mean for est in expected_payoffs(x0, policies, model, payoff, dt, n_paths, seed)
+        est.mean for est in expected_payoffs(x0, controls, model, payoff, dt, n_paths, seed)
     )
     d1 = (j_plus - j_minus) / (2.0 * h_u)
     d2 = (j_plus - 2.0 * j_center + j_minus) / (h_u * h_u)

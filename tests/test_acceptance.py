@@ -19,7 +19,7 @@ from stubborn.density import gaussian_density_grid, kernel_step, schrodinger_ste
 from stubborn.dynamics import simulate_final
 from stubborn.feynman_kac import FKProblem, fk_estimate
 from stubborn.model import ModelParams, PayoffParams
-from stubborn.payoff import constant_policy, expected_payoff, payoff_stationarity
+from stubborn.payoff import expected_payoff, payoff_stationarity
 
 
 class Timer:
@@ -136,7 +136,7 @@ def test_criterion_6_feynman_kac_analytic_cases():
             Theta=lambda s, x, u: 0.0,
             T_term=lambda t_, x: x,
             dynamics=frozen,
-            policy=lambda s, x: 0.0,
+            u=0.0,
             horizon=1.0,
         )
         mean, _ = fk_estimate(prob, s0, x0, 0.01, 16, seed=5)
@@ -149,7 +149,7 @@ def test_criterion_6_feynman_kac_analytic_cases():
             Theta=lambda s, x, u: 0.0,
             T_term=lambda t_, x: x,
             dynamics=noisy,
-            policy=lambda s, x: 0.0,
+            u=0.0,
             horizon=1.0,
         )
         mean2, se2 = fk_estimate(prob2, 0.0, 1.0, 0.01, 100_000, seed=6)
@@ -178,7 +178,7 @@ def test_criterion_7_sde_moment_law():
         model = ModelParams(a=0.0, sigma1=0.3, sigma2=0.1)
         dt, horizon, x0, n = 1e-3, 1.0, 1.0, 100_000
         final, _ = simulate_final(
-            x0, lambda s, x: 0.0, model, dt, horizon, seed=42, n_paths=n, clamp=False
+            x0, 0.0, model, dt, horizon, seed=42, n_paths=n, clamp=False
         )
         target = x0 * (1.0 - model.sigma2 * dt) ** round(horizon / dt)
         se = final.std(ddof=1) / math.sqrt(n)
@@ -249,7 +249,7 @@ def test_criterion_9_payoff_stationarity_at_grid_maximizer():
         assert 0.0 < u_best < 1.0, "maximizer must be interior for the check"
 
         # oracle consistency: the vectorized sweep reproduces expected_payoff
-        est = expected_payoff(x0, constant_policy(u_best), model, pay, dt, 1, seed=0)
+        est = expected_payoff(x0, u_best, model, pay, dt, 1, seed=0)
         assert est.mean == pytest.approx(float(j_vals[np.argmax(j_vals)]), rel=1e-12)
 
         d1, d2 = payoff_stationarity(x0, u_best, 0.01, model, pay, dt, 1, seed=0)

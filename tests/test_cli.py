@@ -16,7 +16,7 @@ import stubborn
 from stubborn import control, dynamics
 from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
-from stubborn.payoff import constant_policy, expected_payoff
+from stubborn.payoff import expected_payoff
 
 MINIMAL = {
     "model": {"a": 1.0, "sigma1": 0.3, "sigma2": 0.1},
@@ -155,7 +155,7 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert len(lines) == 1 + 16 * 21  # n_paths * (n_steps + 1)
     # every x round-trips to the simulated state bit for bit
     states, clamped = dynamics.simulate_batch(
-        1.0, constant_policy(0.0), ModelParams(**MINIMAL["model"]), 0.05, 1.0, 3, 16
+        1.0, 0.0, ModelParams(**MINIMAL["model"]), 0.05, 1.0, 3, 16
     )
     rows = [ln.split(",") for ln in lines[1:]]
     assert [(int(r[0]), int(r[1])) for r in rows[:2]] == [(0, 0), (0, 1)]
@@ -191,7 +191,7 @@ def test_sweep_matches_per_u_payoff_loop(tmp_path, monkeypatch):
     num = config.numerics
     rows, clamp_fractions = ["u,J_mean,J_stderr,invalid_fraction"], []
     for u in np.linspace(0.0, 1.0, num.u_grid_n):
-        est = expected_payoff(num.x0, constant_policy(float(u)), config.model,
+        est = expected_payoff(num.x0, float(u), config.model,
                               config.payoff, num.dt, num.n_paths, num.seed)
         rows.append(
             f"{_fmt(u)},{_fmt(est.mean)},{_fmt(est.std_error)},{_fmt(est.invalid_fraction)}"
@@ -298,10 +298,9 @@ def test_optimize_ranks_with_configured_n_paths(tmp_path, monkeypatch):
     calls = []
     ranked = control.expected_payoffs
 
-    def spy(x0, policies, model, payoff, dt, n_paths, seed):
-        us = [policy(0.0, None) for policy in policies]  # constant controls
-        calls.append((list(x0), us, payoff.horizon, n_paths))
-        return ranked(x0, policies, model, payoff, dt, n_paths, seed)
+    def spy(x0, controls, model, payoff, dt, n_paths, seed):
+        calls.append((list(x0), list(controls), payoff.horizon, n_paths))
+        return ranked(x0, controls, model, payoff, dt, n_paths, seed)
 
     monkeypatch.setattr(control, "expected_payoffs", spy)
     code = main(["optimize", "--config", write_config(tmp_path, doc),
@@ -561,7 +560,7 @@ def test_every_parameter_default_is_set_by_some_caller():
 
 # public names that no package code calls, each kept for a reason
 ORACLES = (
-    ("expected_payoff", "the README quickstart's one-policy estimate of J"),
+    ("expected_payoff", "the README quickstart's one-control estimate of J"),
     ("payoff_stationarity", "oracle of acceptance criterion 9 (dJ/du at a grid maximizer)"),
     ("hand_coded_f", "oracle pair for f with assemble_f_from_generator"),
     ("assemble_f_from_generator", "oracle pair for f with hand_coded_f"),

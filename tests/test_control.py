@@ -26,7 +26,7 @@ from stubborn.model import (
     PayoffParams,
     State,
 )
-from stubborn.payoff import constant_policy, expected_payoff
+from stubborn.payoff import expected_payoff
 
 NO_LAG = LagrangeParams()
 PP_MODES = ModeFlags(derivative_mode="paper", nash_mode="paper")
@@ -303,9 +303,7 @@ def test_two_candidates_ranked_by_payoff(seed, n_paths, threads):
         scale = nash_residual_scale(state, u, model, p, NO_LAG, PP_MODES)
         assert abs(r) <= 1e-10 * scale
     estimates = {
-        u: expected_payoff(
-            state.x, constant_policy(u), model, p, 0.01, n_paths, seed
-        ).mean
+        u: expected_payoff(state.x, u, model, p, 0.01, n_paths, seed).mean
         for u in res.u_candidates
     }
     # the argmax of the single-candidate means; ties go to the smaller u,
@@ -333,7 +331,7 @@ def test_all_invalid_ranking_paths_give_smallest_candidate():
     res = optimal_stubbornness(state, model, p, lagrange, dt=0.01, n_paths=50, seed=0)
     assert len(res.u_candidates) == 2
     for u in res.u_candidates:
-        est = expected_payoff(state.x, constant_policy(u), model, p, 0.01, 50, 0)
+        est = expected_payoff(state.x, u, model, p, 0.01, 50, 0)
         assert math.isnan(est.mean)
     assert res.u_star == min(res.u_candidates)
     assert res.reason == "no valid ranking path"

@@ -19,8 +19,6 @@ from stubborn.feynman_kac import FKProblem, fk_estimate
 from stubborn.model import ModelParams, PayoffParams
 from stubborn.payoff import expected_payoff, expected_payoffs
 
-ZERO_POLICY = lambda s, x: 0.0
-
 
 def test_drift_values():
     assert drift(0.0, 0.0, ModelParams(a=1, sigma1=0, sigma2=0.5)) == 0.0
@@ -36,7 +34,7 @@ def test_diffusion_values():
 
 def test_simulate_path_frozen_dynamics():
     frozen = ModelParams(a=0, sigma1=0, sigma2=0)
-    states, clamped = simulate_batch(1.0, ZERO_POLICY, frozen, 0.25, 1.0, 3, 1)
+    states, clamped = simulate_batch(1.0, 0.0, frozen, 0.25, 1.0, 3, 1)
     assert np.array_equal(states[0], np.ones(5))
     assert not clamped[0].any()
 
@@ -49,9 +47,12 @@ def test_simulate_path_deterministic_euler():
         (1.0, 0.5, 0.1, 0.1, [1.0, 1.0 + (-0.5) * 0.1], [False, False]),
         # the raw update 0.01 - 0.1 goes negative: absorbed at 0 and flagged
         (0.01, 1.0, 0.1, 0.1, [0.01, 0.0], [False, True]),
+        # controls outside [0, 1] are clipped: 1.5 acts as 1, -0.5 as 0
+        (1.0, 1.5, 0.25, 1.0, [1.0, 0.75, 0.5, 0.25, 0.0], [False] * 5),
+        (1.0, -0.5, 0.25, 1.0, [1.0] * 5, [False] * 5),
     ]
     for x0, u, dt, horizon, states, clamped in cases:
-        got_states, got_clamped = simulate_batch(x0, lambda s, x: u, frozen, dt, horizon, 3, 1)
+        got_states, got_clamped = simulate_batch(x0, u, frozen, dt, horizon, 3, 1)
         assert np.array_equal(got_states[0], states)
         assert np.array_equal(got_clamped[0], clamped)
 
@@ -67,10 +68,10 @@ def test_horizon_must_be_step_multiple():
 
 def test_bit_reproducibility():
     model = ModelParams(a=0.5, sigma1=0.4, sigma2=0.2)
-    p1 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 77, 1)[0][0]
-    p2 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 77, 1)[0][0]
+    p1 = simulate_batch(1.0, 0.0, model, 0.01, 1.0, 77, 1)[0][0]
+    p2 = simulate_batch(1.0, 0.0, model, 0.01, 1.0, 77, 1)[0][0]
     assert np.array_equal(p1, p2)
-    p3 = simulate_batch(1.0, ZERO_POLICY, model, 0.01, 1.0, 78, 1)[0][0]
+    p3 = simulate_batch(1.0, 0.0, model, 0.01, 1.0, 78, 1)[0][0]
     assert not np.array_equal(p1, p3)
 
 
@@ -81,29 +82,25 @@ ENGINE_PAYOFF = PayoffParams(
 )
 
 
-def engine_policy(s, x):
-    # state feedback that leaves [0, 1] on both sides, so clipping is exercised
-    return 1.2 - x + s
-
-
+# Controls outside [0, 1] on both sides, so every caller runs through the clip.
 ENGINE_FK = FKProblem(
     V=lambda s, x, u: 0.3 + 0.1 * x,
     Theta=lambda s, x, u: x - u * u,
     T_term=lambda t, x: np.sqrt(x),
     dynamics=ENGINE_MODEL,
-    policy=engine_policy,
+    u=1.2,
     horizon=0.5,
 )
 
 ENGINE_CALLS = {
     "simulate_batch": lambda n, seed: simulate_batch(
-        0.4, engine_policy, ENGINE_MODEL, 0.05, 0.5, seed, n
+        0.4, -0.3, ENGINE_MODEL, 0.05, 0.5, seed, n
     ),
     "simulate_final": lambda n, seed: simulate_final(
-        0.4, engine_policy, ENGINE_MODEL, 0.05, 0.5, seed, n, clamp=False
+        0.4, 1.2, ENGINE_MODEL, 0.05, 0.5, seed, n, clamp=False
     ),
     "expected_payoff": lambda n, seed: dataclasses.astuple(
-        expected_payoff(0.4, engine_policy, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, n, seed)
+        expected_payoff(0.4, 1.2, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, n, seed)
     ),
     "fk_estimate": lambda n, seed: fk_estimate(ENGINE_FK, 0.1, 0.4, 0.05, n, seed),
 }
@@ -137,7 +134,7 @@ def test_thread_count_independence(n_paths, block, threads, seed):
             mp.setenv("STUBBORN_THREADS", threads)
             PoolSpy.sizes = []
             blocked = call(n_paths, seed)
-        # two or more blocks of one policy on two threads use the pool
+        # two or more blocks of one control on two threads use the pool
         pooled = threads == "2" and n_paths > block
         assert PoolSpy.sizes == ([2] if pooled else []), name
         for want, got in zip(reference, blocked, strict=True):
@@ -147,7 +144,7 @@ def test_thread_count_independence(n_paths, block, threads, seed):
 
 
 @pytest.mark.parametrize(
-    "n_paths, n_policies, threads, pool",
+    "n_paths, n_controls, threads, pool",
     [
         (19, 1, "2", [2]),  # one full block and a partial one
         (9, 1, "2", []),  # a single block runs inline
@@ -156,31 +153,31 @@ def test_thread_count_independence(n_paths, block, threads, seed):
         (45, 1, "4", [4]),
         (45, 1, "8", [5]),  # never more threads than blocks
         (40, 1, "1", []),
-        (30, 4, "2", [2]),  # 16 pairs per block hold 4 paths of 4 policies
+        (30, 4, "2", [2]),  # 16 pairs per block hold 4 paths of 4 controls
         (7, 4, "2", [2]),
-        (30, 5, "2", []),  # 3 paths of 5 policies: more rows than paths
+        (30, 5, "2", []),  # 3 paths of 5 controls: more rows than paths
         (8, 6, "2", []),
     ],
 )
-def test_thread_fan_out(monkeypatch, n_paths, n_policies, threads, pool):
+def test_thread_fan_out(monkeypatch, n_paths, n_controls, threads, pool):
     monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
     monkeypatch.setattr(dynamics, "_BLOCK_ELEMS", 16)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
     monkeypatch.setenv("STUBBORN_THREADS", threads)
     PoolSpy.sizes = []
     seen = []
-    dynamics._for_each_chunk(n_paths, lambda lo, hi: seen.append((lo, hi)), n_policies)
+    dynamics._for_each_chunk(n_paths, lambda lo, hi: seen.append((lo, hi)), n_controls)
     assert PoolSpy.sizes == pool
-    size = min(10, 16 // n_policies)
+    size = min(10, 16 // n_controls)
     assert sorted(seen) == [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
 def test_per_row_start_states_must_match_the_policies():
-    steps = dynamics._em_steps([0.1, 0.2], [ZERO_POLICY], ENGINE_MODEL, 0.05, 2, 0, 0, 3)
-    with pytest.raises(ValueError, match="2 start states for 1 policies"):
+    steps = dynamics._em_steps([0.1, 0.2], [0.0], ENGINE_MODEL, 0.05, 2, 0, 0, 3)
+    with pytest.raises(ValueError, match="2 start states for 1 controls"):
         next(steps)
     with pytest.raises(ValueError, match="start states"):
-        expected_payoffs([0.4] * 3, [ZERO_POLICY] * 2, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, 4, 0)
+        expected_payoffs([0.4] * 3, [0.0] * 2, ENGINE_MODEL, ENGINE_PAYOFF, 0.05, 4, 0)
 
 
 def same_estimate(a, b):
@@ -190,18 +187,9 @@ def same_estimate(a, b):
     )
 
 
-def make_policy(kind, c):
-    if kind == "constant":
-        return lambda s, x: c
-    return lambda s, x: c - x + s  # state feedback, clipped on both sides
-
-
 @settings(max_examples=30, deadline=None)
 @given(
-    specs=st.lists(
-        st.tuples(st.sampled_from(["constant", "feedback"]), st.floats(-0.5, 1.5)),
-        max_size=24,
-    ),
+    controls=st.lists(st.floats(-0.5, 1.5), max_size=24),
     drain_at=st.integers(0, 24),
     starts=st.lists(st.sampled_from([0.0, 0.05, 0.4]), min_size=25, max_size=25),
     per_row=st.booleans(),
@@ -213,24 +201,23 @@ def make_policy(kind, c):
 )
 # three per-row starts in blocks of 4 paths on two threads: reaches the pool
 @example(
-    specs=[("feedback", 0.3), ("constant", 0.2)], drain_at=1,
+    controls=[0.3, 0.2], drain_at=1,
     starts=[0.05, 0.4] * 12 + [0.0], per_row=True,
     n_paths=9, block=4, elems=64, threads="2", seed=7,
 )
 def test_batched_payoffs_equal_single_policy_runs(
-    specs, drain_at, starts, per_row, n_paths, block, elems, threads, seed
+    controls, drain_at, starts, per_row, n_paths, block, elems, threads, seed
 ):
-    """expected_payoffs over k policies equals k expected_payoff calls exactly.
+    """expected_payoffs over k controls equals k expected_payoff calls exactly.
 
-    x0 is one start state for all policies or one per policy.  The u = 1
-    "drain" policy drives paths into the clamp; from x0 = 0 it makes every
+    x0 is one start state for all controls or one per control.  The u = 1
+    "drain" control drives paths into the clamp; from x0 = 0 it makes every
     path invalid, so the mean is NaN.  With per-row starts the drain row
     always starts at 0.
     """
-    drain = drain_at % (len(specs) + 1)
-    specs.insert(drain, ("constant", 1.0))
-    policies = [make_policy(kind, c) for kind, c in specs]
-    starts = starts[: len(policies)]
+    drain = drain_at % (len(controls) + 1)
+    controls.insert(drain, 1.0)
+    starts = starts[: len(controls)]
     if per_row:
         starts[drain] = 0.0
     x0 = starts if per_row else starts[0]
@@ -238,16 +225,16 @@ def test_batched_payoffs_equal_single_policy_runs(
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("STUBBORN_THREADS", "1")
         singles = [
-            expected_payoff(starts[i] if per_row else x0, policy, *args)
-            for i, policy in enumerate(policies)
+            expected_payoff(starts[i] if per_row else x0, u, *args)
+            for i, u in enumerate(controls)
         ]
         mp.setattr(dynamics, "_BLOCK_PATHS", block)
         mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
         mp.setenv("STUBBORN_THREADS", threads)
-        batched = expected_payoffs(x0, policies, *args)
-    assert len(batched) == len(policies)
-    for spec, want, got in zip(specs, singles, batched):
-        assert same_estimate(want, got), (spec, want, got)
+        batched = expected_payoffs(x0, controls, *args)
+    assert len(batched) == len(controls)
+    for u, want, got in zip(controls, singles, batched):
+        assert same_estimate(want, got), (u, want, got)
     if per_row:
         assert math.isnan(batched[drain].mean)
 
@@ -285,7 +272,7 @@ def test_noise_is_standard_normal():
 def test_zero_noise_matches_explicit_euler():
     model = ModelParams(a=0.7, sigma1=0.0, sigma2=0.0)
     u = 0.2
-    states = simulate_batch(1.0, lambda s, x: u, model, 0.01, 1.0, 0, 1)[0][0]
+    states = simulate_batch(1.0, u, model, 0.01, 1.0, 0, 1)[0][0]
     x = 1.0
     for k in range(100):
         x = x + (model.a * math.sqrt(x) - model.sigma2 * x - u) * 0.01
@@ -296,11 +283,11 @@ def test_zero_drift_martingale_mean():
     # a = 0, sigma2 = 0, u = 0: pre-clamp EM mean is exactly x0; the clamped
     # mean carries a small absorption bias which is measured and reported.
     model = ModelParams(a=0.0, sigma1=0.3, sigma2=0.0)
-    final_raw, _ = simulate_final(1.0, ZERO_POLICY, model, 0.01, 1.0, 42, 100_000, clamp=False)
+    final_raw, _ = simulate_final(1.0, 0.0, model, 0.01, 1.0, 42, 100_000, clamp=False)
     se = final_raw.std(ddof=1) / math.sqrt(len(final_raw))
     assert abs(final_raw.mean() - 1.0) <= 3.0 * se
     final_clamped, clamp_any = simulate_final(
-        1.0, ZERO_POLICY, model, 0.01, 1.0, 42, 100_000, clamp=True
+        1.0, 0.0, model, 0.01, 1.0, 42, 100_000, clamp=True
     )
     bias = final_clamped.mean() - final_raw.mean()
     print(
@@ -314,7 +301,7 @@ def test_linear_mean_law():
     # a = 0, u = 0: E[x_{j+1}] = (1 - sigma2*dt) E[x_j] before clamping.
     model = ModelParams(a=0.0, sigma1=0.2, sigma2=0.3)
     dt, horizon = 0.01, 1.0
-    final, _ = simulate_final(1.0, ZERO_POLICY, model, dt, horizon, 11, 40_000, clamp=False)
+    final, _ = simulate_final(1.0, 0.0, model, dt, horizon, 11, 40_000, clamp=False)
     target = (1.0 - model.sigma2 * dt) ** round(horizon / dt)
     se = final.std(ddof=1) / math.sqrt(len(final))
     assert abs(final.mean() - target) <= 3.0 * se
@@ -348,7 +335,7 @@ def test_marginal_density_matches_histogram():
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-6)
 
     final, clamp_any = simulate_final(
-        x0, ZERO_POLICY, model, dt, n_steps * dt, seed=97, n_paths=1_000_000
+        x0, 0.0, model, dt, n_steps * dt, seed=97, n_paths=1_000_000
     )
     assert not clamp_any.any()
 

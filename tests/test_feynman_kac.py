@@ -7,7 +7,6 @@ from stubborn.feynman_kac import FKProblem, fk_estimate, fk_pde_residual_check, 
 from stubborn.model import ModelParams, State
 
 FROZEN = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
-ZERO_POLICY = lambda s, x: 0.0
 
 
 def problem(V=None, Theta=None, T_term=None, dynamics=FROZEN, horizon=1.0):
@@ -16,7 +15,7 @@ def problem(V=None, Theta=None, T_term=None, dynamics=FROZEN, horizon=1.0):
         Theta=Theta or (lambda s, x, u: 0.0),
         T_term=T_term or (lambda t, x: x),
         dynamics=dynamics,
-        policy=ZERO_POLICY,
+        u=0.0,
         horizon=horizon,
     )
 
@@ -104,7 +103,7 @@ def test_pde_residual_monte_carlo_within_propagated_error():
         Theta=lambda s, x, u: 0.0,
         T_term=lambda t, x: x,
         dynamics=model,
-        policy=ZERO_POLICY,
+        u=0.0,
         horizon=1.0,
     )
     point = State(s=0.5, x=1.0)

@@ -106,34 +106,16 @@ def test_fd_check_consistent_at_pinned_point():
     p = pay(alpha1=0.1, alpha2=0.1, alpha3=0.1)
     model = ModelParams(a=1.2, sigma1=0.3, sigma2=0.6)
     lag = LagrangeParams(l0=0.2, l1=-0.1)
-    report = finite_difference_check(
-        State(s=0.3, x=0.8), 0.4, model, p, lag, mode="consistent", step=1e-5
-    )
+    report = finite_difference_check(State(s=0.3, x=0.8), 0.4, model, p, lag, step=1e-5)
     assert report.max_error() <= 1e-5
 
 
-def test_fd_check_published_mode_at_zero_control_sigma2_zero():
+def test_derivative_gap_vanishes_at_zero_control_sigma2_zero():
     # Every published-vs-exact gap carries u, l0 or sigma2 factors; with all
-    # three absent the published mode matches finite differences too.
+    # three absent the published partials are the exact ones.
     p = pay()
     model = ModelParams(a=1.0, sigma1=0.5, sigma2=0.0)
-    report = finite_difference_check(
-        State(s=0.2, x=1.5), 0.0, model, p, NO_LAG, mode="paper", step=1e-5
-    )
-    assert report.max_error() <= 1e-10
-
-
-def test_fd_check_published_mode_shows_cost_gap():
-    p = pay()
-    model = ModelParams(a=1.0, sigma1=0.5, sigma2=0.0)
-    st, u = State(s=0.0, x=1.0), 0.5
-    report = finite_difference_check(st, u, model, p, NO_LAG, mode="paper", step=1e-5)
-    gap_fx, _, _ = derivative_gap(st, u, model, p, NO_LAG)
-    b = derivatives(st, u, model, p, NO_LAG, mode="paper")
-    # the measured relative error is the analytic gap up to FD truncation
-    expected_rel = abs(gap_fx) / max(abs(b.f_x), abs(b.f_x - gap_fx))
-    assert report.rel_f_x == pytest.approx(expected_rel, rel=1e-6)
-    assert report.rel_f_x >= abs(gap_fx) / (2.0 * abs(b.f_x)) - 1e-8
+    assert derivative_gap(State(s=0.2, x=1.5), 0.0, model, p, NO_LAG) == (0.0, 0.0, 0.0)
 
 
 def test_mode_gap_formulas_are_exact():
@@ -213,9 +195,7 @@ def test_default_terminal_constant():
     assert default_terminal_constant(p, 4.0) == pytest.approx(2.0 * math.exp(-1.0) * 2.0)
     # the default is frozen per call: f at perturbed x must use the same Mbar
     model = ModelParams(a=0.3, sigma1=0.4, sigma2=0.2)
-    report = finite_difference_check(
-        State(s=0.1, x=1.0), 0.3, model, p, NO_LAG, mode="consistent", step=1e-5
-    )
+    report = finite_difference_check(State(s=0.1, x=1.0), 0.3, model, p, NO_LAG, step=1e-5)
     assert report.max_error() <= 1e-5
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from stubborn import dynamics
 from stubborn.model import ModelParams, PayoffParams
-from stubborn.payoff import constant_policy, expected_payoff, payoff_stationarity
+from stubborn.payoff import expected_payoff, expected_payoffs, payoff_stationarity
 
 FROZEN = ModelParams(a=0.0, sigma1=0.0, sigma2=0.0)
 
@@ -21,7 +22,7 @@ def pay(**overrides):
 def test_deterministic_riemann_sum():
     # theta + sum(alpha) = 1, r = 0, omega = 0: left sum of a constant 1 over [0,1).
     p = pay(r=0.0, mu_bar=-0.5, omega=0.0)
-    est = expected_payoff(1.0, constant_policy(0.0), FROZEN, p, 0.25, 1, seed=0)
+    est = expected_payoff(1.0, 0.0, FROZEN, p, 0.25, 1, seed=0)
     assert est.mean == 1.0
     assert est.std_error == 0.0
     assert est.clamp_fraction == 0.0 and est.invalid_fraction == 0.0
@@ -29,8 +30,8 @@ def test_deterministic_riemann_sum():
 
 def test_same_seed_same_estimate():
     model = ModelParams(a=0.5, sigma1=0.3, sigma2=0.1)
-    a = expected_payoff(1.0, constant_policy(0.2), model, pay(), 0.05, 1, seed=9)
-    b = expected_payoff(1.0, constant_policy(0.2), model, pay(), 0.05, 1, seed=9)
+    a = expected_payoff(1.0, 0.2, model, pay(), 0.05, 1, seed=9)
+    b = expected_payoff(1.0, 0.2, model, pay(), 0.05, 1, seed=9)
     assert a == b
 
 
@@ -40,7 +41,7 @@ def test_against_bruteforce_oracle():
     p = pay(theta=0.8, alpha1=0.1, alpha2=0.05, alpha3=0.05)
     u, dt, n, x0 = 0.3, 0.01, 100_000, 1.0
 
-    est = expected_payoff(x0, constant_policy(u), model, p, dt, n, seed=123)
+    est = expected_payoff(x0, u, model, p, dt, n, seed=123)
 
     rng = np.random.default_rng(987654)
     x = np.full(n, x0)
@@ -76,8 +77,8 @@ def test_discount_consistency():
     model = ModelParams(a=0.3, sigma1=0.2, sigma2=0.1)
     p_r0 = pay(r=0.0, mu_bar=-0.5)
     p_r = pay(r=0.6, mu_bar=-0.5)
-    j0 = expected_payoff(1.0, constant_policy(0.0), model, p_r0, 0.02, 4000, seed=3)
-    j1 = expected_payoff(1.0, constant_policy(0.0), model, p_r, 0.02, 4000, seed=3)
+    j0 = expected_payoff(1.0, 0.0, model, p_r0, 0.02, 4000, seed=3)
+    j1 = expected_payoff(1.0, 0.0, model, p_r, 0.02, 4000, seed=3)
     assert j0.mean >= j1.mean
 
 
@@ -85,8 +86,8 @@ def test_std_error_scaling():
     model = ModelParams(a=0.3, sigma1=0.4, sigma2=0.1)
     ratios = []
     for seed in (1, 2, 3):
-        small = expected_payoff(1.0, constant_policy(0.1), model, pay(), 0.02, 2000, seed)
-        big = expected_payoff(1.0, constant_policy(0.1), model, pay(), 0.02, 8000, seed)
+        small = expected_payoff(1.0, 0.1, model, pay(), 0.02, 2000, seed)
+        big = expected_payoff(1.0, 0.1, model, pay(), 0.02, 8000, seed)
         ratios.append(small.std_error / big.std_error)
     mean_ratio = sum(ratios) / len(ratios)
     assert abs(mean_ratio - 2.0) <= 0.4  # 1/sqrt(n) within 20%
@@ -97,14 +98,30 @@ def test_invalid_paths_reported():
     # makes the cost singular and the path invalid.
     model = ModelParams(a=0.0, sigma1=0.5, sigma2=0.0)
     p = pay()
-    est = expected_payoff(0.01, constant_policy(1.0), model, p, 0.05, 2000, seed=17)
+    est = expected_payoff(0.01, 1.0, model, p, 0.05, 2000, seed=17)
     assert est.invalid_fraction > 0.5
     assert est.n_valid == round(est.n_paths * (1.0 - est.invalid_fraction))
     assert math.isfinite(est.mean)
     # with u = 0 paths still clamp, but the cost stays finite: none is invalid
-    free = expected_payoff(0.01, constant_policy(0.0), model, p, 0.05, 2000, seed=17)
+    free = expected_payoff(0.01, 0.0, model, p, 0.05, 2000, seed=17)
     assert free.clamp_fraction > 0.5
     assert free.invalid_fraction == 0.0 and free.n_valid == free.n_paths
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_control_array_equals_single_control_runs(monkeypatch, threads):
+    # the u grid array that `sweep` passes unchanged; 21 controls in blocks
+    # of 4 paths split 10 paths into 3 blocks, so two threads use the pool
+    model = ModelParams(a=0.5, sigma1=0.4, sigma2=0.2)
+    args = (model, pay(), 0.05, 10, 5)
+    u_grid = np.linspace(0.0, 1.0, 21)
+    monkeypatch.setenv("STUBBORN_THREADS", "1")
+    singles = [expected_payoff(0.3, float(u), *args) for u in u_grid]
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMS", 4 * 21)
+    monkeypatch.setenv("STUBBORN_THREADS", threads)
+    assert expected_payoffs(0.3, u_grid, *args) == singles
+    with pytest.raises(ValueError, match="at least one control"):
+        expected_payoffs(0.3, np.array([]), *args)
 
 
 def test_stationarity_flat_payoff():

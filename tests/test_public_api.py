@@ -8,7 +8,6 @@ from stubborn import (
     ModelParams,
     PayoffParams,
     State,
-    constant_policy,
     expected_payoff,
     optimal_stubbornness,
     simulate_batch,
@@ -26,14 +25,14 @@ def test_readme_quickstart_flow():
     validate_params(model, payoff, lagrange)
 
     states, clamped = simulate_batch(
-        1.0, constant_policy(0.2), model, dt=0.01, horizon=1.0, seed=42, n_paths=1
+        1.0, 0.2, model, dt=0.01, horizon=1.0, seed=42, n_paths=1
     )
     path = states[0]
     assert len(path) == 101 and len(clamped[0]) == 101
     assert path[0] == 1.0
 
     est = expected_payoff(
-        1.0, constant_policy(0.2), model, payoff, dt=0.01, n_paths=1000, seed=42
+        1.0, 0.2, model, payoff, dt=0.01, n_paths=1000, seed=42
     )
     assert math.isfinite(est.mean) and est.std_error > 0.0
 
