@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import (
+    _certificate,
+    _nash_sides,
     closed_form_coeffs,
     nash_residual,
-    nash_residual_scale,
     optimal_stubbornness,
     root_scan,
     solve_quartic,
@@ -261,13 +262,10 @@ def check_root_residuals(
             nearest = min(scan, key=lambda pair: abs(pair[0] - u_closed))[0]
             worst_agree = max(worst_agree, abs(u_closed - nearest))
 
-        res = abs(
-            nash_residual(sc.state, u_closed, sc.model, sc.payoff, sc.lagrange, modes)
+        lhs, rhs = _nash_sides(
+            sc.state.s, sc.state.x, u_closed, sc.model, sc.payoff, sc.lagrange, modes
         )
-        cert_scale = nash_residual_scale(
-            sc.state, u_closed, sc.model, sc.payoff, sc.lagrange, modes
-        )
-        worst_cert = max(worst_cert, res / cert_scale if cert_scale > 0 else res)
+        worst_cert = max(worst_cert, _certificate(lhs, rhs))
 
         printed = solve_quartic(coeffs, "paper-verbatim")
         if printed:

@@ -287,6 +287,7 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     rows = []
     status_counts: dict[str, int] = {}
     ranked_cells = 0
+    certificates = []  # of `ok` cells whose u_star is not clamped
     for s in np.linspace(sg.min, sg.max, sg.n):
         results, n_ranked = optimal_stubbornness_row(
             float(s),
@@ -306,6 +307,8 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
                 rows.append(f"{_fmt(s)},{_fmt(x)},,,,0,{mode_cell},{status}")
             else:
                 status = res.reason
+                if status == "ok" and res.u_star == res.u_unclamped:
+                    certificates.append(res.certificate)
                 rows.append(
                     f"{_fmt(s)},{_fmt(x)},{_fmt(res.u_star)},{_fmt(res.u_unclamped)},"
                     f"{_fmt(res.residual)},{len(res.u_candidates)},{mode_cell},{status}"
@@ -315,7 +318,13 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     _write_csv(
         out, "s,x,u_star,u_unclamped,residual,n_candidates,mode_flags,status", rows
     )
-    return [str(out)], True, {"status_counts": status_counts, "ranked_cells": ranked_cells}
+    tol = num.tolerances.residual_rel
+    return [str(out)], True, {
+        "status_counts": status_counts,
+        "ranked_cells": ranked_cells,
+        "certificate_max": max(certificates, default=0.0),
+        "certificate_failures": sum(c > tol for c in certificates),
+    }
 
 
 def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:

@@ -24,7 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .lagrangian import derivatives
+import numpy as np
+
+from .lagrangian import _partials, _require_positive_x
 from .model import (
     LagrangeParams,
     ModeFlags,
@@ -48,7 +50,6 @@ class ClosedFormDomainError(ValueError):
 class ClosedFormCoeffs:
     """Auxiliary coefficients of the factored stationarity equation at (s, x)."""
 
-    A1: float
     A2: float
     A3: float
     k1: float
@@ -75,11 +76,18 @@ class ClosedFormCoeffs:
 
 @dataclass(frozen=True)
 class OptimalControlResult:
+    """The selected control at one cell.
+
+    residual is lhs - rhs of the stationarity condition at u_star, and
+    certificate is |lhs - rhs| / (|lhs| + |rhs|) there (0 when both are 0).
+    """
+
     z_roots: tuple[float, ...]
     u_candidates: tuple[float, ...]
     u_star: float
     u_unclamped: float
     residual: float
+    certificate: float
     reason: str
 
     def __post_init__(self) -> None:
@@ -91,19 +99,24 @@ class OptimalControlResult:
             raise ValueError("u_candidates must be nonnegative")
 
 
-def _nash_sides(
-    state: State,
-    u: float,
-    model: ModelParams,
-    payoff: PayoffParams,
-    lagrange: LagrangeParams,
-    modes: ModeFlags,
-) -> tuple[float, float]:
-    """(lhs, rhs) of the stationarity condition at (s, x, u) under the selected mode pair."""
-    b = derivatives(state, u, model, payoff, lagrange, mode=modes.derivative_mode)
+def _nash_sides(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams,
+                modes: ModeFlags):
+    """(lhs, rhs) of the stationarity condition at (s, x, u) under the selected mode pair.
+
+    x and u are floats or float64 arrays, as `_partials` takes them; each
+    element equals the one-point evaluation bit for bit.  Checks nothing.
+    """
+    _f, f_u, f_x, f_xx, f_xu = _partials(s, x, u, model, payoff, lagrange,
+                                         modes.derivative_mode, None)
     if modes.nash_mode == "paper":
-        return b.f_u * b.f_xx * b.f_xx, 2.0 * b.f_x * b.f_xu
-    return b.f_u * b.f_xx, b.f_x * b.f_xu
+        return f_u * f_xx * f_xx, 2.0 * f_x * f_xu
+    return f_u * f_xx, f_x * f_xu
+
+
+def _certificate(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| / (|lhs| + |rhs|), the defect relative to its terms; 0 when both are 0."""
+    scale = abs(lhs) + abs(rhs)
+    return abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
 
 def nash_residual(
@@ -115,21 +128,9 @@ def nash_residual(
     modes: ModeFlags = ModeFlags(),
 ) -> float:
     """Stationarity defect lhs - rhs at (s, x, u) under the selected mode pair."""
-    lhs, rhs = _nash_sides(state, u, model, payoff, lagrange, modes)
+    _require_positive_x(state.x, u)
+    lhs, rhs = _nash_sides(state.s, state.x, u, model, payoff, lagrange, modes)
     return lhs - rhs
-
-
-def nash_residual_scale(
-    state: State,
-    u: float,
-    model: ModelParams,
-    payoff: PayoffParams,
-    lagrange: LagrangeParams,
-    modes: ModeFlags = ModeFlags(),
-) -> float:
-    """Magnitude scale |lhs| + |rhs| of the stationarity condition at u."""
-    lhs, rhs = _nash_sides(state, u, model, payoff, lagrange, modes)
-    return abs(lhs) + abs(rhs)
 
 
 def closed_form_coeffs(
@@ -138,7 +139,7 @@ def closed_form_coeffs(
     payoff: PayoffParams,
     lagrange: LagrangeParams,
 ) -> ClosedFormCoeffs:
-    """A1-A3 and k1-k4 at (s, x), with d(lambda) := l0 and d(lambda)/ds := l1.
+    """A2, A3 and k1-k4 at (s, x), with d(lambda) := l0 and d(lambda)/ds := l1.
 
     A2 and A3 are the control-independent parts of the published f_x and
     f_xx; the k's are the building blocks of the factored quartic.
@@ -161,7 +162,6 @@ def closed_form_coeffs(
     rm = payoff.r - payoff.mu_bar
     c = payoff.c
 
-    A1 = s2 * E * l0
     A2 = (
         D * payoff.reward_coeff
         + s2 * E * (l0 + l1 + (a / (2.0 * sqx) - s2) * l0 + s2 * mu0 * l0)
@@ -184,7 +184,7 @@ def closed_form_coeffs(
     k2 = 15.0 * c / (4.0 * rm * x25)
     k3 = c * c / (rm * rm * x**3)
     k4 = 2.0 * A2 * c * math.exp(-3.0 * payoff.r * s) / (rm * x15)
-    return ClosedFormCoeffs(A1=A1, A2=A2, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
+    return ClosedFormCoeffs(A2=A2, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
 
 
 def _solve_quadratic_stable(a: float, b: float, c: float) -> list[float]:
@@ -234,17 +234,18 @@ def solve_quartic(coeffs: ClosedFormCoeffs, closed_form_mode: str = "rederived")
     return sorted([0.5 * (t1 - sq), 0.5 * (t1 + sq)])
 
 
-def scan_sign_changes(fn: Callable[[float], float], grid_n: int) -> list[float]:
+def scan_sign_changes(fn: Callable, grid_n: int) -> list[float]:
     """Roots of fn located by sign changes on a uniform grid over (0, 1].
 
-    Each bracket is bisected to |interval| <= BISECT_WIDTH.  Scale-invariant:
-    multiplying fn by a positive constant changes no sign and therefore no
-    bisection decision.
+    fn is called once with the whole grid as a float64 array, then with
+    one float per bisection step; each bracket is bisected to
+    |interval| <= BISECT_WIDTH.  Scale-invariant: multiplying fn by a
+    positive constant changes no sign and therefore no bisection decision.
     """
     if grid_n < 10:
         raise ValueError("grid_n must be at least 10")
-    us = [i / grid_n for i in range(1, grid_n + 1)]
-    vals = [fn(u) for u in us]
+    grid = np.arange(1, grid_n + 1) / grid_n
+    us, vals = grid.tolist(), fn(grid).tolist()
     roots: list[float] = []
     for i in range(len(us) - 1):
         v0, v1 = vals[i], vals[i + 1]
@@ -283,7 +284,12 @@ def root_scan(
     Independent of the closed form: pure grid scan plus bisection.  Returns
     (root, residual-at-root) pairs; an empty list is a valid outcome.
     """
-    fn = lambda u: nash_residual(state, u, model, payoff, lagrange, modes)
+    _require_positive_x(state.x, 1.0)  # every scanned u is positive
+
+    def fn(u):
+        lhs, rhs = _nash_sides(state.s, state.x, u, model, payoff, lagrange, modes)
+        return lhs - rhs
+
     return [(u, fn(u)) for u in scan_sign_changes(fn, grid_n)]
 
 
@@ -341,7 +347,7 @@ def optimal_stubbornness_row(
             for i, cell in enumerate(cells)
             if not isinstance(cell, ClosedFormDomainError) and len(cell[2]) >= 2
         ]
-    chosen: dict[int, tuple[float, str]] = {}  # cell index -> (u, status)
+    chosen: dict[int, tuple[float, str]] = {}  # in-domain cell index -> (u, status)
     if ranked:
         n_rem = max(1, round(remaining / dt))
         payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
@@ -358,25 +364,24 @@ def optimal_stubbornness_row(
                     best_u, best_j = u, est.mean
             chosen[i] = (best_u, "ok" if best_j > -math.inf else "no valid ranking path")
 
-    results: list[OptimalControlResult | ClosedFormDomainError] = []
     for i, cell in enumerate(cells):
-        if isinstance(cell, ClosedFormDomainError):
-            results.append(cell)
-            continue
-        state, z_roots, candidates = cell
-        if not candidates:
-            u_unclamped, reason = 0.0, "trivial root only"
-        else:
-            u_unclamped, reason = chosen.get(i, (min(candidates), "ok"))
-        u_star = clamp_control(u_unclamped)
-        results.append(OptimalControlResult(
-            z_roots=tuple(z_roots),
-            u_candidates=tuple(candidates),
-            u_star=u_star,
-            u_unclamped=u_unclamped,
-            residual=nash_residual(state, u_star, model, payoff, lagrange, modes),
-            reason=reason,
-        ))
+        if not isinstance(cell, ClosedFormDomainError) and i not in chosen:
+            chosen[i] = (min(cell[2]), "ok") if cell[2] else (0.0, "trivial root only")
+    # the residual column of the row in one array evaluation
+    u_star = np.array([clamp_control(u) for u, _status in chosen.values()])
+    x = np.array([cells[i][0].x for i in chosen])
+    lhs, rhs = _nash_sides(s, x, u_star, model, payoff, lagrange, modes)
+    results: list = list(cells)  # the domain errors stay in place
+    for i, u, lhs_i, rhs_i in zip(chosen, u_star.tolist(), lhs.tolist(), rhs.tolist()):
+        results[i] = OptimalControlResult(
+            z_roots=tuple(cells[i][1]),
+            u_candidates=tuple(cells[i][2]),
+            u_star=u,
+            u_unclamped=chosen[i][0],
+            residual=lhs_i - rhs_i,
+            certificate=_certificate(lhs_i, rhs_i),
+            reason=chosen[i][1],
+        )
     return results, len(ranked)
 
 

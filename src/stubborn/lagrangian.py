@@ -19,9 +19,11 @@ Two derivative modes are first-class:
 The two modes agree on f and f_u everywhere; their difference on f_x,
 f_xx, f_xu is available in closed form via :func:`derivative_gap`.
 
-The partials live once, in `_partials`, which takes a scalar x or a float64
-array of them: :func:`derivatives` is its checked one-point entry, and
-`density.model_fields` evaluates a whole grid with it in one call.
+The partials live once, in `_partials`, which takes x and u as floats or
+float64 arrays: :func:`derivatives` is its checked one-point entry,
+`density.model_fields` evaluates a whole x grid with it in one call, and
+`control` evaluates the stationarity condition with it on a whole u grid
+(`root_scan`) or on one (x, u) per cell of an `optimize` row.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def assemble_f_from_generator(
 
 def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams,
               mode: str, Mbar):
-    """(f, f_u, f_x, f_xx, f_xu) at (s, x, u); x is a float or a float64 array.
+    """(f, f_u, f_x, f_xx, f_xu) at (s, x, u); x and u are floats or float64 arrays.
 
-    The one copy of the partials, shared by :func:`derivatives` (one point)
-    and :func:`stubborn.density.model_fields` (a whole grid).  Checks
+    The one copy of the partials, shared by :func:`derivatives` (one point),
+    :func:`stubborn.density.model_fields` (an x grid) and
+    `stubborn.control._nash_sides` (a u grid, or one u per x).  Each element
+    of an array evaluation equals the one-point value bit for bit.  Checks
     nothing; a non-array x is evaluated in Python floats, which is faster
     than numpy scalars and gives the same bits.
     """

@@ -37,13 +37,12 @@ from .model import ModelParams, PayoffParams
 class PayoffEstimate:
     """Monte Carlo estimate of J under a constant control.
 
-    mean/std_error are computed over the valid paths only; n_paths is the
-    requested sample count, n_valid the count actually used.
+    mean/std_error are computed over the valid paths only; n_valid is the
+    count of paths actually used.
     """
 
     mean: float
     std_error: float
-    n_paths: int
     n_valid: int
     clamp_fraction: float
     invalid_fraction: float
@@ -148,7 +147,6 @@ def _estimate(
     return PayoffEstimate(
         mean=mean,
         std_error=std_error,
-        n_paths=n_paths,
         n_valid=n_valid,
         clamp_fraction=float(np.count_nonzero(clamp_flags)) / n_paths,
         invalid_fraction=float(np.count_nonzero(invalid)) / n_paths,

@@ -244,6 +244,18 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     grid = json.loads((tmp_path / "grid" / "manifest.json").read_text())["diagnostics"]
     assert grid["status_counts"] == {"ok": 1912, "trivial root only": 1163}
     assert grid["ranked_cells"] == 242
+    # the closed form is a root of the condition it reports only at s = 0
+    # and l0 = 0: with l0 = 0.4 every unclamped `ok` cell fails the certificate
+    assert grid["certificate_failures"] == 1912
+    assert 0.99 < grid["certificate_max"] < 1.0
+    # the README config: 187 unclamped `ok` cells, worst certificate
+    # 5.9e-16 at s = 0, 0.63 at s = 0.5 and 0.90 at s = 1
+    assert main(["optimize", "--config", write_config(tmp_path, readme_config(), "readme.json"),
+                 "--out-dir", str(tmp_path / "readme")]) == 0
+    readme = json.loads((tmp_path / "readme" / "manifest.json").read_text())["diagnostics"]
+    assert readme["status_counts"] == {"ok": 195}
+    assert readme["certificate_failures"] == 130
+    assert readme["certificate_max"] == pytest.approx(0.9037, abs=1e-4)
     # the initial bump sits four widths from the grid edges: every step warns
     dens = json.loads((tmp_path / "density" / "manifest.json").read_text())["diagnostics"]
     assert [w["step"] for w in dens["boundary_warnings"]] == [1, 2, 3, 4]
@@ -252,6 +264,22 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "bad")]) == 2
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert bad["diagnostics"] == {"worker_count": 3}
+
+
+def test_optimize_evaluates_each_row_residual_in_one_call(tmp_path, monkeypatch):
+    # one array `_partials` call per s row for the residual column, over all
+    # 65 in-domain cells of the README config
+    calls = []
+    partials = control._partials
+
+    def spy(s, x, u, *args):
+        calls.append((s, np.shape(x), np.shape(u)))
+        return partials(s, x, u, *args)
+
+    monkeypatch.setattr(control, "_partials", spy)
+    assert main(["optimize", "--config", write_config(tmp_path, readme_config()),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [(0.0, (65,), (65,)), (0.5, (65,), (65,)), (1.0, (65,), (65,))]
 
 
 def test_optimize_domain_cells(tmp_path):

@@ -8,10 +8,10 @@ from stubborn import dynamics
 from stubborn.control import (
     ClosedFormCoeffs,
     ClosedFormDomainError,
+    _nash_sides,
     _solve_quadratic_stable,
     closed_form_coeffs,
     nash_residual,
-    nash_residual_scale,
     optimal_stubbornness,
     optimal_stubbornness_row,
     root_scan,
@@ -48,6 +48,46 @@ def test_trivial_root_in_every_mode_pair():
         for nm in ("paper", "rederived"):
             modes = ModeFlags(derivative_mode=dm, nash_mode=nm)
             assert nash_residual(st, 0.0, model, pay(), NO_LAG, modes) == 0.0
+
+
+MODE_PAIRS = [
+    ModeFlags(derivative_mode=dm, nash_mode=nm)
+    for dm in ("paper", "consistent")
+    for nm in ("paper", "rederived")
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0),
+    x=st.floats(0.01, 5.0),
+    cells=st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.0, 1.0)), min_size=1, max_size=16),
+    a=st.floats(0.0, 2.0),
+    sigma1=st.floats(0.0, 1.0),
+    sigma2=st.floats(0.0, 1.5),
+    c=st.floats(0.1, 4.0),
+    l0=st.floats(-0.5, 0.5),
+    l1=st.floats(-0.5, 0.5),
+)
+def test_array_sides_equal_scalar_residual_bit_for_bit(s, x, cells, a, sigma1, sigma2, c, l0, l1):
+    # the array route that root_scan and the optimize residual column take
+    # gives every element of the one-point nash_residual exactly
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    p = pay(c=c)
+    lag = LagrangeParams(l0=l0, l1=l1)
+    grid = np.arange(1, 65) / 64
+    xs, us = (np.array(col) for col in zip(*cells))
+    for modes in MODE_PAIRS:
+        lhs, rhs = _nash_sides(s, x, grid, model, p, lag, modes)
+        want = [nash_residual(State(s=s, x=x), u, model, p, lag, modes) for u in grid.tolist()]
+        assert _bits(lhs - rhs) == _bits(want), modes
+        lhs, rhs = _nash_sides(s, xs, us, model, p, lag, modes)
+        want = [nash_residual(State(s=s, x=xi), ui, model, p, lag, modes) for xi, ui in cells]
+        assert _bits(lhs - rhs) == _bits(want), modes
 
 
 def test_residual_zero_without_cost():
@@ -90,7 +130,6 @@ def test_coefficients_reference_values():
     assert cf.k2 == 7.5
     assert cf.k3 == 4.0
     assert cf.k4 == pytest.approx(4.0 * cf.A2, rel=1e-15)
-    assert cf.A1 == 0.0
 
 
 def test_coefficients_sigma2_zero():
@@ -139,7 +178,6 @@ def test_coefficients_are_control_free_parts_of_published_partials():
         assert b.f_xx == pytest.approx(
             cost_fxx - model.sigma2**3 * E * u * lag.l0 + cf.A3, rel=1e-12
         )
-        assert cf.A1 == pytest.approx(model.sigma2 * E * lag.l0, rel=1e-14)
 
 
 def test_coefficient_sign_invariants():
@@ -165,7 +203,7 @@ def test_quartic_factored_case():
     # A3 = 0, k4 = 0 factor the polynomial as z*(k1*k2^2*z - k3).
     from stubborn.control import ClosedFormCoeffs
 
-    cf = ClosedFormCoeffs(A1=0.0, A2=0.0, A3=0.0, k1=-4.0, k2=7.5, k3=4.0, k4=0.0)
+    cf = ClosedFormCoeffs(A2=0.0, A3=0.0, k1=-4.0, k2=7.5, k3=4.0, k4=0.0)
     roots = solve_quartic(cf, "rederived")
     expected = 4.0 / (-4.0 * 7.5**2)
     assert roots == sorted([0.0, expected])
@@ -201,7 +239,7 @@ def _coefficient():
 def test_stable_quadratic_roots_pass_residual_certificate(A3, k1, k2, k3, k4):
     # every root of the expanded quadratic satisfies the factored polynomial
     # k1*(k2*z + A3)^2 - k3*z + k4 to rounding of its own terms
-    cf = ClosedFormCoeffs(A1=0.0, A2=0.0, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
+    cf = ClosedFormCoeffs(A2=0.0, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
     a, b, c = cf.quadratic_coeffs()
     roots = _solve_quadratic_stable(a, b, c)
     assert roots == sorted(roots)
@@ -228,7 +266,7 @@ def test_printed_formula_agrees_in_degenerate_case():
     # polynomial exactly (the constant term vanishes).
     from stubborn.control import ClosedFormCoeffs
 
-    cf = ClosedFormCoeffs(A1=0.0, A2=0.0, A3=0.0, k1=-2.0, k2=3.0, k3=1.0, k4=0.0)
+    cf = ClosedFormCoeffs(A2=0.0, A3=0.0, k1=-2.0, k2=3.0, k3=1.0, k4=0.0)
     printed = solve_quartic(cf, "paper-verbatim")
     residuals = [abs(cf.polynomial_residual(z)) for z in printed]
     assert min(residuals) == 0.0
@@ -237,9 +275,9 @@ def test_printed_formula_agrees_in_degenerate_case():
 def test_solve_quartic_linear_fallback_and_empty():
     from stubborn.control import ClosedFormCoeffs
 
-    lin = ClosedFormCoeffs(A1=0, A2=0, A3=0.0, k1=0.0, k2=1.0, k3=2.0, k4=1.0)
+    lin = ClosedFormCoeffs(A2=0, A3=0.0, k1=0.0, k2=1.0, k3=2.0, k4=1.0)
     assert solve_quartic(lin, "rederived") == [0.5]
-    none = ClosedFormCoeffs(A1=0, A2=0, A3=0.0, k1=-1.0, k2=1.0, k3=-3.0, k4=-4.0)
+    none = ClosedFormCoeffs(A2=0, A3=0.0, k1=-1.0, k2=1.0, k3=-3.0, k4=-4.0)
     # a = -1, b = 3, c = -4: discriminant 9 - 16 < 0
     assert solve_quartic(none, "rederived") == []
 
@@ -262,8 +300,7 @@ def test_optimal_stubbornness_matches_scan():
     scan = root_scan(st, model, p, NO_LAG, PP_MODES)
     nearest = min(scan, key=lambda pair: abs(pair[0] - res.u_star))[0]
     assert abs(res.u_star - nearest) <= 1e-3
-    scale = nash_residual_scale(st, model=model, payoff=p, lagrange=NO_LAG, modes=PP_MODES, u=res.u_star)
-    assert abs(res.residual) <= 1e-6 * scale
+    assert res.certificate <= 1e-6
 
 
 def test_clamped_control_reported():
@@ -299,9 +336,8 @@ def test_two_candidates_ranked_by_payoff(seed, n_paths, threads):
     # both candidates are exact stationarity roots at s = 0: their
     # residuals sit at rounding level relative to the condition's scale
     for u in res.u_candidates:
-        r = nash_residual(state, u, model, p, NO_LAG, PP_MODES)
-        scale = nash_residual_scale(state, u, model, p, NO_LAG, PP_MODES)
-        assert abs(r) <= 1e-10 * scale
+        lhs, rhs = _nash_sides(state.s, state.x, u, model, p, NO_LAG, PP_MODES)
+        assert abs(lhs - rhs) <= 1e-10 * (abs(lhs) + abs(rhs))
     estimates = {
         u: expected_payoff(state.x, u, model, p, 0.01, n_paths, seed).mean
         for u in res.u_candidates
@@ -392,11 +428,25 @@ def test_scan_finds_both_roots_even_on_coarse_grid():
 
 
 def test_scan_scale_invariance():
-    fn = lambda u: (u - 0.37) * (u - 0.81) * math.exp(u)
+    fn = lambda u: (u - 0.37) * (u - 0.81) * np.exp(u)
     base = scan_sign_changes(fn, grid_n=50)
     scaled = scan_sign_changes(lambda u: 17.3 * fn(u), grid_n=50)
     assert base == scaled
     assert base == pytest.approx([0.37, 0.81], abs=1e-9)
+
+
+def test_scan_evaluates_the_grid_in_one_call():
+    # one array call over the whole grid, then one float per bisection step
+    calls = []
+
+    def spy(u):
+        calls.append(u)
+        return (u - 0.37) * (u - 0.81)
+
+    assert scan_sign_changes(spy, grid_n=50) == pytest.approx([0.37, 0.81], abs=1e-9)
+    assert isinstance(calls[0], np.ndarray)
+    assert calls[0].tolist() == [i / 50 for i in range(1, 51)]
+    assert len(calls) > 1 and all(type(u) is float for u in calls[1:])
 
 
 def test_scan_rejects_tiny_grid():
