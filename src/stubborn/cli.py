@@ -12,7 +12,7 @@ manifest's `diagnostics` block next to the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
 error.  STUBBORN_THREADS caps the Monte Carlo worker count; outputs do not
-depend on it.
+depend on it, and a value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
@@ -119,6 +119,10 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
             raise ConfigError(f"numerics.{key}.min must be below numerics.{key}.max")
         if grid.n < 2:
             raise ConfigError(f"numerics.{key}.n must be at least 2")
+        if grid.min < 0.0:
+            raise ConfigError(f"numerics.{key}.min must be nonnegative")
+    if numerics.s_grid is not None and numerics.s_grid.max > horizon:
+        raise ConfigError("numerics.s_grid.max must not exceed payoff.horizon")
     dens = numerics.density
     if dens.eps <= 0.0:
         raise ConfigError("numerics.density.eps must be positive")
@@ -253,7 +257,9 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     )
     out = out_dir / "paths.csv"
     _write_csv(out, "path_id,step,s,x,clamped", rows)
-    return [str(out)], True, {}
+    # the share of paths clamped at least once, as sweep's clamp_fraction
+    clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
+    return [str(out)], True, {"clamp_fraction": clamp_fraction}
 
 
 def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
@@ -417,7 +423,7 @@ def _write_manifest(
         "config": None if config is None else dataclasses.asdict(config),
         "seed": None if config is None else config.numerics.seed,
         "duration_seconds": duration,
-        "diagnostics": diagnostics or {"worker_count": dynamics._worker_count()},
+        "diagnostics": diagnostics or {},
         "files": files or [],
         "checks_passed": checks_passed,
         "status": status,
@@ -439,11 +445,12 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
         return 2
     started = time.perf_counter()
     files: list[str] = []
-    diagnostics = {"worker_count": dynamics._worker_count()}
+    diagnostics: dict = {}  # no worker count when STUBBORN_THREADS is malformed
     status = "ok"
     checks_passed: bool | None = None
     error_text: str | None = None
     try:
+        diagnostics["worker_count"] = dynamics._worker_count()
         files, ok, found = COMMANDS[name](config, out)
         diagnostics.update(found)
         if name == "validate":
@@ -485,7 +492,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    diagnostics: dict = {}
     try:
+        # a malformed STUBBORN_THREADS is a usage error, found before any work
+        diagnostics["worker_count"] = dynamics._worker_count()
         config = load_config(args.config)
         overrides = {"seed": args.seed, "dt": args.dt, "n_paths": args.n_paths}
         num = dataclasses.replace(
@@ -496,7 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         # a manifest is emitted even when the config never parsed
         try:
-            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc))
+            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc),
+                            diagnostics=diagnostics)
         except OSError:
             pass
         print(f"error: {exc}", file=sys.stderr)

@@ -133,6 +133,43 @@ def nash_residual(
     return lhs - rhs
 
 
+def _coefficient_row(
+    s: float,
+    xs: Sequence[float],
+    model: ModelParams,
+    payoff: PayoffParams,
+    lagrange: LagrangeParams,
+) -> list[ClosedFormCoeffs]:
+    """`closed_form_coeffs` at (s, x) for every x in xs, all at or above X_MIN.
+
+    A2 and A3 of the whole row come from one array `_partials` call; the
+    k's are Python floats per cell, since numpy's array x**3 differs from
+    Python's in the last bit for about 5% of x.
+    """
+    if not payoff.r > payoff.mu_bar:
+        raise ParameterError("r must exceed mu_bar")
+    # published mode at u = 0; f is discarded, so Mbar = 0
+    _f, _f_u, A2, A3, _f_xu = _partials(s, np.array(xs, dtype=float), 0.0, model, payoff,
+                                        lagrange, "paper", 0.0)
+    rm = payoff.r - payoff.mu_bar
+    c = payoff.c
+    d3 = math.exp(-3.0 * payoff.r * s)
+    row = []
+    for x, a2, a3 in zip(xs, A2.tolist(), A3.tolist()):
+        sqx = math.sqrt(x)
+        x15 = x * sqx
+        x25 = x * x * sqx
+        row.append(ClosedFormCoeffs(
+            A2=a2,
+            A3=a3,
+            k1=-2.0 * c / (rm * sqx),
+            k2=15.0 * c / (4.0 * rm * x25),
+            k3=c * c / (rm * rm * x**3),
+            k4=2.0 * a2 * c * d3 / (rm * x15),
+        ))
+    return row
+
+
 def closed_form_coeffs(
     state: State,
     model: ModelParams,
@@ -142,49 +179,12 @@ def closed_form_coeffs(
     """A2, A3 and k1-k4 at (s, x), with d(lambda) := l0 and d(lambda)/ds := l1.
 
     A2 and A3 are the control-independent parts of the published f_x and
-    f_xx; the k's are the building blocks of the factored quartic.
+    f_xx, read from `_partials` in published mode at u = 0; the k's are
+    the building blocks of the factored quartic.
     """
     if state.x < X_MIN:
         raise ClosedFormDomainError("state below closed-form domain")
-    if not payoff.r > payoff.mu_bar:
-        raise ParameterError("r must exceed mu_bar")
-
-    s, x = state.s, state.x
-    s2, a = model.sigma2, model.a
-    D = math.exp(-payoff.r * s)
-    E = math.exp(s2 * x)
-    sqx = math.sqrt(x)
-    x15 = x * sqx
-    x25 = x * x * sqx
-    sig = model.sigma1 - s2 * x
-    mu0 = a * sqx - s2 * x  # drift without the control term
-    l0, l1 = lagrange.l0, lagrange.l1
-    rm = payoff.r - payoff.mu_bar
-    c = payoff.c
-
-    A2 = (
-        D * payoff.reward_coeff
-        + s2 * E * (l0 + l1 + (a / (2.0 * sqx) - s2) * l0 + s2 * mu0 * l0)
-        - sig * s2**3 * E
-        + 0.5 * sig * sig * s2**3 * E
-    )
-    A3 = (
-        s2 * s2 * E * l0
-        + s2 * s2 * l1 * E
-        + s2 * s2 * E * (a / (2.0 * sqx) - s2) * l0
-        - s2 * E * (3.0 * a / (4.0 * x25)) * l0
-        + s2**3 * E * mu0 * l0
-        + s2 * s2 * E * (a / (2.0 * sqx)) * l0
-        - s2 * s2 * E * (a / (4.0 * x15)) * l0
-        + s2**4 * E
-        - sig * s2**5 * E
-        + 0.5 * sig * sig * s2**4 * E
-    )
-    k1 = -2.0 * c / (rm * sqx)
-    k2 = 15.0 * c / (4.0 * rm * x25)
-    k3 = c * c / (rm * rm * x**3)
-    k4 = 2.0 * A2 * c * math.exp(-3.0 * payoff.r * s) / (rm * x15)
-    return ClosedFormCoeffs(A2=A2, A3=A3, k1=k1, k2=k2, k3=k3, k4=k4)
+    return _coefficient_row(state.s, [state.x], model, payoff, lagrange)[0]
 
 
 def _solve_quadratic_stable(a: float, b: float, c: float) -> list[float]:
@@ -293,20 +293,13 @@ def root_scan(
     return [(u, fn(u)) for u in scan_sign_changes(fn, grid_n)]
 
 
-def _closed_form_candidates(
-    state: State,
-    model: ModelParams,
-    payoff: PayoffParams,
-    lagrange: LagrangeParams,
-    modes: ModeFlags,
-) -> tuple[list[float], list[float]]:
-    """(z roots, candidates u = +sqrt(z) for z >= 0) of the closed form at (s, x)."""
-    coeffs = closed_form_coeffs(state, model, payoff, lagrange)
+def _candidates(coeffs: ClosedFormCoeffs, closed_form_mode: str) -> tuple[list[float], list[float]]:
+    """(z roots, candidates u = +sqrt(z) for z >= 0) of the closed form."""
     a, b, c = coeffs.quadratic_coeffs()
     if a == 0.0 and b == 0.0 and c == 0.0:
         z_roots: list[float] = []
     else:
-        z_roots = solve_quartic(coeffs, modes.closed_form_mode)
+        z_roots = solve_quartic(coeffs, closed_form_mode)
     return z_roots, [math.sqrt(z) for z in z_roots if z >= 0.0]
 
 
@@ -325,57 +318,54 @@ def optimal_stubbornness_row(
 
     Returns (results, ranked cell count).  results[i] equals
     optimal_stubbornness(State(s, xs[i]), ...) exactly, or is the
-    ClosedFormDomainError that call raises.  Every cell at one s has the
-    same remaining horizon, so it ranks with the same noise: the
-    candidates of all cells that need ranking go to one `expected_payoffs`
-    call, each candidate starting from its own cell's x.
+    ClosedFormDomainError that call raises.  The coefficients of every
+    in-domain cell come from one array evaluation, and so does the
+    residual column.  Every cell at one s has the same remaining horizon,
+    so it ranks with the same noise: the candidates of all cells that
+    need ranking go to one `expected_payoffs` call, each candidate
+    starting from its own cell's x.
     """
     if s > payoff.horizon:
         raise ParameterError("s must not exceed horizon")
-    cells: list[tuple[State, list[float], list[float]] | ClosedFormDomainError] = []
-    for x in xs:
-        state = State(s=s, x=x)
-        try:
-            cells.append((state, *_closed_form_candidates(state, model, payoff, lagrange, modes)))
-        except ClosedFormDomainError as exc:
-            cells.append(exc)
+    # State checks s and each x, as the one-cell call does
+    inside = [i for i, x in enumerate(xs) if State(s=s, x=x).x >= X_MIN]
+    coeffs = _coefficient_row(s, [xs[i] for i in inside], model, payoff, lagrange)
+    # in-domain cell index -> (z roots, candidates)
+    found = {i: _candidates(cf, modes.closed_form_mode) for i, cf in zip(inside, coeffs)}
     remaining = payoff.horizon - s
     ranked: list[int] = []  # cells with several candidates and horizon left
     if remaining >= dt / 2.0:
-        ranked = [
-            i
-            for i, cell in enumerate(cells)
-            if not isinstance(cell, ClosedFormDomainError) and len(cell[2]) >= 2
-        ]
+        ranked = [i for i in inside if len(found[i][1]) >= 2]
     chosen: dict[int, tuple[float, str]] = {}  # in-domain cell index -> (u, status)
     if ranked:
         n_rem = max(1, round(remaining / dt))
         payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
-        rows = [(cells[i][0].x, u) for i in ranked for u in sorted(cells[i][2])]
+        rows = [(xs[i], u) for i in ranked for u in sorted(found[i][1])]
         estimates = iter(expected_payoffs(
             [x for x, _u in rows], [u for _x, u in rows],
             model, payoff_rem, dt, n_paths, seed,
         ))
         for i in ranked:
-            candidates = sorted(cells[i][2])
+            candidates = sorted(found[i][1])
             best_u, best_j = candidates[0], -math.inf
             for u, est in zip(candidates, estimates):
                 if est.mean > best_j:
                     best_u, best_j = u, est.mean
             chosen[i] = (best_u, "ok" if best_j > -math.inf else "no valid ranking path")
 
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, ClosedFormDomainError) and i not in chosen:
-            chosen[i] = (min(cell[2]), "ok") if cell[2] else (0.0, "trivial root only")
+    for i in inside:
+        if i not in chosen:
+            u_candidates = found[i][1]
+            chosen[i] = (min(u_candidates), "ok") if u_candidates else (0.0, "trivial root only")
     # the residual column of the row in one array evaluation
     u_star = np.array([clamp_control(u) for u, _status in chosen.values()])
-    x = np.array([cells[i][0].x for i in chosen])
+    x = np.array([xs[i] for i in chosen], dtype=float)
     lhs, rhs = _nash_sides(s, x, u_star, model, payoff, lagrange, modes)
-    results: list = list(cells)  # the domain errors stay in place
+    results: list = [ClosedFormDomainError("state below closed-form domain") for _x in xs]
     for i, u, lhs_i, rhs_i in zip(chosen, u_star.tolist(), lhs.tolist(), rhs.tolist()):
         results[i] = OptimalControlResult(
-            z_roots=tuple(cells[i][1]),
-            u_candidates=tuple(cells[i][2]),
+            z_roots=tuple(found[i][0]),
+            u_candidates=tuple(found[i][1]),
             u_star=u,
             u_unclamped=chosen[i][0],
             residual=lhs_i - rhs_i,

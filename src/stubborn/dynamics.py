@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, ParameterError
 
 STEP_TOL = 1e-9
 
@@ -158,13 +158,17 @@ def _em_steps(
 
 
 def _worker_count() -> int:
+    """STUBBORN_THREADS, or the CPU count when it is unset or empty.
+
+    Raises ParameterError when it is set to anything but a positive
+    integer in decimal digits.
+    """
     env = os.environ.get("STUBBORN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    if not (env.isascii() and env.isdigit() and int(env) > 0):
+        raise ParameterError(f"STUBBORN_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _for_each_chunk(

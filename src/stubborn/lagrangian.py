@@ -22,8 +22,11 @@ f_xx, f_xu is available in closed form via :func:`derivative_gap`.
 The partials live once, in `_partials`, which takes x and u as floats or
 float64 arrays: :func:`derivatives` is its checked one-point entry,
 `density.model_fields` evaluates a whole x grid with it in one call, and
-`control` evaluates the stationarity condition with it on a whole u grid
-(`root_scan`) or on one (x, u) per cell of an `optimize` row.
+`control` reads the closed-form coefficients A2 and A3 from it, the
+published f_x and f_xx at u = 0 (`control.closed_form_coeffs` for one
+cell, and the x row of an `optimize` row in one call), and evaluates the
+stationarity condition with it on a whole u grid (`root_scan`) or on one
+(x, u) per cell of an `optimize` row.
 """
 
 from __future__ import annotations
@@ -161,8 +164,10 @@ def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: Lagra
     """(f, f_u, f_x, f_xx, f_xu) at (s, x, u); x and u are floats or float64 arrays.
 
     The one copy of the partials, shared by :func:`derivatives` (one point),
-    :func:`stubborn.density.model_fields` (an x grid) and
-    `stubborn.control._nash_sides` (a u grid, or one u per x).  Each element
+    :func:`stubborn.density.model_fields` (an x grid),
+    `stubborn.control._nash_sides` (a u grid, or one u per x) and the
+    closed-form coefficients at u = 0 (`stubborn.control.closed_form_coeffs`,
+    and an `optimize` row's x grid in one call).  Each element
     of an array evaluation equals the one-point value bit for bit.  Checks
     nothing; a non-array x is evaluated in Python floats, which is faster
     than numpy scalars and gives the same bits.

@@ -218,6 +218,17 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
         assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 0
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diagnostics["worker_count"] == 3, command
+    # the share of simulated paths that hit the clamp at least once
+    sim = json.loads((tmp_path / "simulate" / "manifest.json").read_text())["diagnostics"]
+    assert sim["clamp_fraction"] == 0.0
+    low_doc = dict(MINIMAL, numerics=small_numerics(x0=0.05))
+    assert main(["simulate", "--config", write_config(tmp_path, low_doc, "low.json"),
+                 "--out-dir", str(tmp_path / "low")]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "low" / "paths.csv").read_text().strip().split("\n")[1:]]
+    hit = {row[0] for row in rows if row[4] == "1"}
+    low = json.loads((tmp_path / "low" / "manifest.json").read_text())["diagnostics"]
+    assert low["clamp_fraction"] == len(hit) / 16 == 0.5
     sweep = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["diagnostics"]
     assert len(sweep["clamp_fraction"]) == 11
     assert all(0.0 <= f <= 1.0 for f in sweep["clamp_fraction"])
@@ -266,9 +277,10 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert bad["diagnostics"] == {"worker_count": 3}
 
 
-def test_optimize_evaluates_each_row_residual_in_one_call(tmp_path, monkeypatch):
-    # one array `_partials` call per s row for the residual column, over all
-    # 65 in-domain cells of the README config
+def test_optimize_evaluates_each_row_in_two_partials_calls(tmp_path, monkeypatch):
+    # two array `_partials` calls per s row over all 65 in-domain cells of
+    # the README config: one at u = 0 for the closed-form coefficients, one
+    # at each cell's u_star for the residual column
     calls = []
     partials = control._partials
 
@@ -279,7 +291,7 @@ def test_optimize_evaluates_each_row_residual_in_one_call(tmp_path, monkeypatch)
     monkeypatch.setattr(control, "_partials", spy)
     assert main(["optimize", "--config", write_config(tmp_path, readme_config()),
                  "--out-dir", str(tmp_path / "out")]) == 0
-    assert calls == [(0.0, (65,), (65,)), (0.5, (65,), (65,)), (1.0, (65,), (65,))]
+    assert calls == [call for s in (0.0, 0.5, 1.0) for call in ((s, (65,), ()), (s, (65,), (65,)))]
 
 
 def test_optimize_domain_cells(tmp_path):
@@ -497,10 +509,18 @@ def test_usage_errors_exit_2(tmp_path):
         ("density.u", small_numerics(density={"u": 1.5})),
         ("x_grid.n", small_numerics(x_grid={"min": 0.2, "max": 2.0, "n": 3})),
     ]
-    for i, (key, numerics) in enumerate(bad_density):
-        case_out = tmp_path / f"density{i}"
+    # grids outside the domain of (s, x) fail before optimize computes a row
+    bad_grids = [
+        ("s_grid.max", small_numerics(s_grid={"min": 0.0, "max": 2.0, "n": 3})),
+        ("s_grid.min", small_numerics(s_grid={"min": -0.5, "max": 1.0, "n": 3})),
+        ("x_grid.min", small_numerics(x_grid={"min": -1.0, "max": 2.0, "n": 7})),
+    ]
+    cases = [("density", *case) for case in bad_density]
+    cases += [("optimize", *case) for case in bad_grids]
+    for i, (command, key, numerics) in enumerate(cases):
+        case_out = tmp_path / f"domain{i}"
         config = write_config(tmp_path, dict(MINIMAL, numerics=numerics), f"d{i}.json")
-        assert main(["density", "--config", config, "--out-dir", str(case_out)]) == 2, key
+        assert main([command, "--config", config, "--out-dir", str(case_out)]) == 2, key
         manifest = json.loads((case_out / "manifest.json").read_text())
         assert manifest["status"] == "config_error", key
         assert key in manifest["error"], manifest["error"]
@@ -511,6 +531,36 @@ def test_usage_errors_exit_2(tmp_path):
                  "--out-dir", str(not_a_dir)]) == 2
     # an integral JSON number still fills an int field
     assert parse_config(dict(MINIMAL, numerics=small_numerics(n_paths=16.0))).numerics.n_paths == 16
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1", "1.5", " 2"])
+def test_malformed_thread_count_is_a_usage_error(tmp_path, monkeypatch, capsys, threads):
+    # never silently replaced: exit 2, naming the variable, before any work
+    monkeypatch.setenv("STUBBORN_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: STUBBORN_THREADS must be a positive integer"), err
+    assert not (out / "sweep.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "config_error"
+    assert "STUBBORN_THREADS" in manifest["error"]
+    assert manifest["diagnostics"] == {}
+    # the same from run_command, which the CLI's config checks do not guard
+    config = load_config(write_config(tmp_path, MINIMAL))
+    assert run_command("sweep", config, str(tmp_path / "direct")) == 2
+    assert not (tmp_path / "direct" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["", "1", "2", "02"])
+def test_valid_thread_counts_run(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("STUBBORN_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
+                 "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["diagnostics"]["worker_count"] == int(threads or os.cpu_count())
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stubborn import dynamics
 from stubborn.control import (
+    X_MIN,
     ClosedFormCoeffs,
     ClosedFormDomainError,
     _nash_sides,
@@ -26,6 +27,7 @@ from stubborn.model import (
     PayoffParams,
     State,
 )
+from stubborn.lagrangian import derivatives
 from stubborn.payoff import expected_payoff
 
 NO_LAG = LagrangeParams()
@@ -150,8 +152,6 @@ def test_coefficients_zero_diffusion_point():
 def test_coefficients_are_control_free_parts_of_published_partials():
     # The published f_x and f_xx split as (cost term) + (u*l0 term) + A;
     # verifying the split ties the closed form to the derivative bundles.
-    from stubborn.lagrangian import derivatives
-
     rng = np.random.default_rng(23)
     for _ in range(30):
         p = pay(
@@ -178,6 +178,68 @@ def test_coefficients_are_control_free_parts_of_published_partials():
         assert b.f_xx == pytest.approx(
             cost_fxx - model.sigma2**3 * E * u * lag.l0 + cf.A3, rel=1e-12
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0),
+    x=st.floats(X_MIN, 5.0),
+    a=st.floats(0.0, 2.0),
+    sigma1=st.floats(0.0, 1.0),
+    sigma2=st.floats(0.0, 1.5),
+    c=st.floats(0.1, 4.0),
+    r=st.floats(0.05, 1.0),
+    mu_bar=st.floats(-0.5, 0.0),
+    l0=st.floats(-0.5, 0.5),
+    l1=st.floats(-0.5, 0.5),
+)
+# a feedback_grid cell where a copy of the formula with math.exp for D and
+# E misses the partials in the last bit of both A2 and A3
+@example(s=0.0, x=0.41875, a=2.0, sigma1=0.5, sigma2=0.5, c=2.5, r=0.5, mu_bar=0.0,
+         l0=0.4, l1=0.0)
+def test_coefficients_are_the_published_partials_at_zero_control(
+    s, x, a, sigma1, sigma2, c, r, mu_bar, l0, l1
+):
+    # A2 and A3 are the published f_x and f_xx at u = 0, bit for bit
+    state = State(s=s, x=x)
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    p = pay(c=c, r=r, mu_bar=mu_bar)
+    lag = LagrangeParams(l0=l0, l1=l1)
+    cf = closed_form_coeffs(state, model, p, lag)
+    b = derivatives(state, 0.0, model, p, lag, mode="paper")
+    assert _bits([cf.A2, cf.A3]) == _bits([b.f_x, b.f_xx])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    s=st.floats(0.0, 1.0),
+    xs=st.lists(st.floats(X_MIN, 5.0), min_size=1, max_size=12),
+    below=st.floats(0.0, X_MIN, exclude_max=True),
+    a=st.floats(0.0, 2.0),
+    sigma1=st.floats(0.0, 1.0),
+    sigma2=st.floats(0.0, 1.5),
+    c=st.floats(0.1, 4.0),
+    l0=st.floats(-0.5, 0.5),
+    l1=st.floats(-0.5, 0.5),
+)
+def test_row_roots_equal_cell_closed_form(s, xs, below, a, sigma1, sigma2, c, l0, l1):
+    # the row's array coefficients give each cell's one-cell roots exactly
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    p = pay(c=c)
+    lag = LagrangeParams(l0=l0, l1=l1)
+    row_xs = [xs[0], below, *xs[1:]]
+    for mode in ("rederived", "paper-verbatim"):
+        modes = ModeFlags(closed_form_mode=mode)
+        row, _n_ranked = optimal_stubbornness_row(s, row_xs, model, p, lag, modes,
+                                                  dt=0.01, n_paths=2, seed=0)
+        assert isinstance(row[1], ClosedFormDomainError)
+        for x, got in zip(row_xs, row):
+            if x < X_MIN:
+                continue
+            z_roots = solve_quartic(closed_form_coeffs(State(s=s, x=x), model, p, lag), mode)
+            u_candidates = [math.sqrt(z) for z in z_roots if z >= 0.0]
+            assert _bits(got.z_roots) == _bits(z_roots), (mode, x)
+            assert _bits(got.u_candidates) == _bits(u_candidates), (mode, x)
 
 
 def test_coefficient_sign_invariants():
