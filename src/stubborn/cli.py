@@ -259,7 +259,9 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     _write_csv(out, "path_id,step,s,x,clamped", rows)
     # the share of paths clamped at least once, as sweep's clamp_fraction
     clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
-    return [str(out)], True, {"clamp_fraction": clamp_fraction}
+    return [str(out)], True, {
+        "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
+    }
 
 
 def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
@@ -280,8 +282,11 @@ def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict
     ]
     out = out_dir / "sweep.csv"
     _write_csv(out, "u,J_mean,J_stderr,invalid_fraction", rows)
-    # one entry per sweep.csv row
-    return [str(out)], True, {"clamp_fraction": [est.clamp_fraction for est in estimates]}
+    return [str(out)], True, {
+        # one entry per sweep.csv row
+        "clamp_fraction": [est.clamp_fraction for est in estimates],
+        "block_paths": dynamics._block_paths(len(u_grid)),
+    }
 
 
 def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:

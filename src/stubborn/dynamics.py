@@ -8,10 +8,18 @@ because sqrt(x) is undefined below 0; clamp events are recorded per step.
 Noise is counter-based: the draw for (seed, path_index, step_index) is a
 pure function of those three integers (SplitMix64-style bit mixing feeding
 a Box-Muller transform), so per-path streams are bit-reproducible and
-independent of batch layout, chunking, and thread count.
+independent of batch layout, chunking, and thread count.  `step_normals`
+defines the stream; the engine computes each path's key
+_mix64(seed + GOLDEN*(path+1)) once per block and draws every step from
+those keys, with the same operations in the same order.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and threads.
+The step runs in place on a few arrays allocated once per block, in the
+rounding order of x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, with
+sqrt(x) and sigma2*x computed once; it yields that sqrt(x), which the
+payoff's cost term reuses.  Every output is bit-identical to the step
+written with `drift` and `diffusion`.
 The simulators here (`simulate_batch` stores whole paths, `simulate_final`
 keeps only the final states), `payoff.expected_payoffs` and
 `feynman_kac.fk_estimate` are per-step accumulators over those two
@@ -32,8 +40,10 @@ twenty-one).  Blocks run on worker threads unless a block has more rows
 (controls) than paths, as in an `optimize` ranking pass (about 200-280
 candidate rows in blocks of 117-159 paths).  A second thread did not
 shorten such a pass: `optimize` on the perfbench `feedback_grid`
-scenario took a median 0.31 s with or without this rule on 2 cores, and
-the thread raised peak RSS by 2 MB, the second block's working set.
+scenario took a median 0.192 s with this rule and 0.189 s without it (16
+alternated processes each, min of 3 passes, 2 cores), and the thread
+raised peak RSS by 2 MB (34.4 against 36.5 MB), the second block's
+working set.
 """
 
 from __future__ import annotations
@@ -56,16 +66,66 @@ STEP_TOL = 1e-9
 _BLOCK_PATHS = 16384
 _BLOCK_ELEMS = 32768
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MASK = 0xFFFFFFFFFFFFFFFF
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 2.0 ** -53
+_TWO_PI = 2.0 * np.pi
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, in place on the uint64 array z; returns z."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _path_keys(seed: int, first_path: int, n_paths: int) -> np.ndarray:
+    """The per-path keys of paths [first_path, first_path + n_paths) under seed.
+
+    Step j's draw for a path depends only on its key and j, so an engine
+    block computes its keys once and draws every step from them.
+    """
+    paths = np.arange(first_path, first_path + n_paths, dtype=np.uint64)
+    paths += np.uint64(1)
+    paths *= _GOLDEN
+    paths += np.uint64(seed & _MASK)
+    return _mix64(paths)
+
+
+def _step_draw(keys: np.ndarray, step: int) -> np.ndarray:
+    """Standard-normal draws at one step for the paths with these keys.
+
+    Box-Muller on two SplitMix64 outputs per path, computed in place.
+    """
+    # Scalar offsets wrap in Python int space; numpy scalar uint64 multiplies
+    # would emit spurious overflow warnings.
+    z = _mix64(keys + np.uint64((_GOLDEN_INT * (2 * step + 1)) & _MASK))
+    z >>= np.uint64(11)
+    # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
+    u1 = z.astype(np.float64)
+    u1 += 1.0
+    u1 *= _INV53
+    np.add(keys, np.uint64((_GOLDEN_INT * (2 * step + 2)) & _MASK), out=z)
+    _mix64(z)
+    z >>= np.uint64(11)
+    u2 = z.astype(np.float64)
+    u2 *= _INV53
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndarray:
@@ -73,21 +133,10 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
 
     Pure function of (seed, path_index, step_index); random access in both
     path and step, which is what makes chunked/threaded simulation
-    bit-stable.
+    bit-stable.  This is the definition of the noise stream; the engine
+    computes the same draws from keys it keeps for a whole block.
     """
-    mask = 0xFFFFFFFFFFFFFFFF
-    paths = np.arange(first_path, first_path + n_paths, dtype=np.uint64)
-    base = _mix64(np.uint64(seed & mask) + _GOLDEN * (paths + np.uint64(1)))
-    # Scalar offsets wrap in Python int space; numpy scalar uint64 multiplies
-    # would emit spurious overflow warnings.
-    off_a = np.uint64((0x9E3779B97F4A7C15 * (2 * step + 1)) & mask)
-    off_b = np.uint64((0x9E3779B97F4A7C15 * (2 * step + 2)) & mask)
-    za = _mix64(base + off_a)
-    zb = _mix64(base + off_b)
-    # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-    u1 = ((za >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-    u2 = (zb >> np.uint64(11)).astype(np.float64) * _INV53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _step_draw(_path_keys(seed, first_path, n_paths), step)
 
 
 def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
@@ -125,36 +174,58 @@ def _em_steps(
     n_paths: int,
     s0: float = 0.0,
     clamp: bool = True,
-) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Step paths [first_path, first_path + n_paths) from x0 at time s0.
 
     Row i of the (len(controls), n_paths) state block applies the constant
     control controls[i] from x0, or from x0[i] when x0 holds one start
     state per row; every row sees the same noise draw at each step.  Yields
-    (s_j, x_j, u, x_next, hit_j) for j = 0..n_steps-1.  u is the
+    (s_j, x_j, u, x_next, hit_j, sqrt_x_j) for j = 0..n_steps-1.  u is the
     (len(controls), 1) column of the controls clipped to [0, 1], one array
-    for every step; x_j, x_next and hit_j have the block's shape, and hit_j
-    marks raw updates below 0.  The noise step index j counts from 0
-    whatever s0 is.  With clamp=False x_next is the raw pre-clamp
-    recursion (moment-law validation).  The yielded arrays are read-only to
-    the caller.
+    for every step; x_j, x_next, hit_j and sqrt_x_j have the block's shape,
+    hit_j marks raw updates below 0 and sqrt_x_j is the sqrt(x_j) of the
+    drift.  The noise step index j counts from 0 whatever s0 is.  With
+    clamp=False x_next is the raw pre-clamp recursion (moment-law
+    validation).  The yielded arrays are read-only to the caller.  Later
+    steps reuse their memory, so a caller copies what it keeps past the
+    next step; the last x_next stays as it is.
     """
     u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
     u.flags.writeable = False
     starts = np.asarray(x0, dtype=np.float64)
     if starts.ndim and starts.shape != (len(u),):
         raise ValueError(f"x0 holds {starts.size} start states for {len(u)} controls")
+    a, sigma1, sigma2 = model.a, model.sigma1, model.sigma2
     sqrt_dt = math.sqrt(dt)
+    keys = _path_keys(seed, first_path, n_paths)
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
+    x_next, sq, sx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    hit = np.empty(x.shape, dtype=bool)
     for j in range(n_steps):
-        s_j = s0 + j * dt
-        w = step_normals(seed, first_path, n_paths, j)
-        raw = x + drift(x, u, model) * dt + diffusion(x, model) * sqrt_dt * w
-        hit = raw < 0.0
-        x_next = np.maximum(raw, 0.0, out=raw) if clamp else raw
-        yield s_j, x, u, x_next, hit
-        x = x_next
+        w = _step_draw(keys, j)
+        # The update x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w in its
+        # rounding order, in place.  Clamped states are never negative, so
+        # only the raw recursion and a start state need max(x, 0).
+        if clamp and j:
+            np.sqrt(x, out=sq)
+        else:
+            np.sqrt(np.maximum(x, 0.0, out=sq), out=sq)
+        np.multiply(x, sigma2, out=sx)
+        np.multiply(sq, a, out=x_next)
+        x_next -= sx
+        x_next -= u
+        x_next *= dt
+        x_next += x
+        np.subtract(sigma1, sx, out=sx)
+        sx *= sqrt_dt
+        sx *= w
+        x_next += sx
+        np.less(x_next, 0.0, out=hit)
+        if clamp:
+            np.maximum(x_next, 0.0, out=x_next)
+        yield s0 + j * dt, x, u, x_next, hit, sq
+        x, x_next = x_next, x
 
 
 def _worker_count() -> int:
@@ -171,20 +242,29 @@ def _worker_count() -> int:
     return int(env)
 
 
+def _block_paths(n_controls: int) -> int:
+    """Paths per block when n_controls controls share it, at least one.
+
+    The one rule of `_for_each_chunk`; the manifests of `simulate` and
+    `sweep` record it as `block_paths`.
+    """
+    return max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
+
+
 def _for_each_chunk(
     n_paths: int, work: Callable[[int, int], None], n_controls: int = 1
 ) -> None:
     """Call work(lo, hi) on every fixed block of [0, n_paths).
 
-    A block holds min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls) paths, at
-    least one.  Blocks run on up to STUBBORN_THREADS threads, or inline
+    A block holds `_block_paths(n_controls)` paths; the last may hold
+    fewer.  Blocks run on up to STUBBORN_THREADS threads, or inline
     when there is only one or a block holds fewer paths than controls:
     such a pass measured no faster on threads, which only held a second
     block in memory (see the module docstring).
     Each call must write only the [lo:hi] slice of arrays its caller owns,
     so results do not depend on the worker count.
     """
-    size = max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
+    size = _block_paths(n_controls)
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     workers = min(_worker_count(), len(blocks)) if size >= n_controls else 1
     if workers <= 1:
@@ -216,7 +296,7 @@ def simulate_batch(
 
     def work(lo: int, hi: int) -> None:
         steps = _em_steps(x0, [u], model, dt, n_steps, seed, lo, hi - lo)
-        for j, (_s, _x, _u, x_next, hit) in enumerate(steps, start=1):
+        for j, (_s, _x, _u, x_next, hit, _sq) in enumerate(steps, start=1):
             states[lo:hi, j] = x_next[0]
             clamped[lo:hi, j] = hit[0]
 
@@ -245,7 +325,7 @@ def simulate_final(
 
     def work(lo: int, hi: int) -> None:
         block_clamped = clamp_any[lo:hi]
-        for _s, _x, _u, x_next, hit in _em_steps(
+        for _s, _x, _u, x_next, hit, _sq in _em_steps(
             x0, [u], model, dt, n_steps, seed, lo, hi - lo, clamp=clamp
         ):
             block_clamped |= hit[0]

@@ -61,7 +61,7 @@ def fk_estimate(
         m = hi - lo
         disc = np.ones(m)
         theta_acc = np.zeros(m)
-        for s_j, xs, u, x_next, _hit in dynamics._em_steps(
+        for s_j, xs, u, x_next, _hit, _sq in dynamics._em_steps(
             x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m, s0=s
         ):
             xs, u = xs[0], u[0]

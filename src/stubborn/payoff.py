@@ -5,7 +5,11 @@ The running payoff is pi(s, x, u) = (theta + alpha1 + alpha2 + alpha3)*x
 rate r along simulated goal-dynamics paths and adds the terminal bonus
 omega*e^{-rt}*sqrt(x(t)).  The payoff integral uses a left-endpoint Riemann
 sum on the Euler-Maruyama grid, accumulated step by step over
-`dynamics._em_steps`, the package's only Euler-Maruyama recursion.
+`dynamics._em_steps`, the package's only Euler-Maruyama recursion.  The
+engine draws each block's noise from keys computed once per block and
+updates its states in place; the accumulator divides c*u^2/(r - mu_bar)
+by the sqrt(x) the engine yields, not a second sqrt, and adds
+(e^{-rs} * (reward*x - cost)) * dt in place, in that order.
 
 `expected_payoffs` estimates J for several constant controls in one
 pass: the engine steps all of them on one block of paths and draws each
@@ -104,24 +108,27 @@ def expected_payoffs(
 
     def work(lo: int, hi: int) -> None:
         running = np.zeros((len(controls), hi - lo))
+        rate = np.empty_like(running)
+        cost = np.empty_like(running)
+        at_zero = np.empty(running.shape, dtype=bool)
+        off_zero = np.empty_like(at_zero)
         block_invalid, block_clamped = invalid[:, lo:hi], clamp_flags[:, lo:hi]
-        for s_j, x, u, x_next, hit in dynamics._em_steps(
+        for s_j, x, u, x_next, hit, sq in dynamics._em_steps(
             x0, controls, model, dt, n_steps, seed, lo, hi - lo
         ):
-            at_zero = x <= 0.0
+            np.less_equal(x, 0.0, out=at_zero)
             block_invalid |= at_zero & (u > 0.0)
-            # Cost evaluated off the boundary only; x = 0 with u = 0
-            # contributes nothing (the linear term vanishes there too).
-            # One expression, so no (controls, paths) temporary outlives
-            # the step.
-            running += (
-                math.exp(-payoff.r * s_j)
-                * (
-                    payoff.reward_coeff * x
-                    - np.where(at_zero, 0.0, k * u * u / np.sqrt(np.where(at_zero, 1.0, x)))
-                )
-                * dt
-            )
+            # Cost evaluated off the boundary only, on the drift's sqrt(x);
+            # x = 0 with u = 0 contributes nothing (the linear term vanishes
+            # there too).  In place, in the order
+            # (e^{-r s_j} * (reward*x - cost)) * dt.
+            np.logical_not(at_zero, out=off_zero)
+            np.divide(k * u * u, sq, out=cost, where=off_zero)
+            np.multiply(x, payoff.reward_coeff, out=rate)
+            np.subtract(rate, cost, out=rate, where=off_zero)
+            rate *= math.exp(-payoff.r * s_j)
+            rate *= dt
+            running += rate
             block_clamped |= hit
         totals[:, lo:hi] = running + bonus * np.sqrt(x_next)
 

@@ -232,6 +232,15 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     sweep = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["diagnostics"]
     assert len(sweep["clamp_fraction"]) == 11
     assert all(0.0 <= f <= 1.0 for f in sweep["clamp_fraction"])
+    # paths per block: 16384 for one control, 32768 // 21 pairs for the
+    # mc_sweep shape of 21 controls at 32768 paths (four steps here)
+    assert sim["block_paths"] == low["block_paths"] == 16384
+    assert sweep["block_paths"] == 32768 // 11
+    wide_doc = dict(MINIMAL, numerics=small_numerics(dt=0.25, n_paths=32768, u_grid_n=21))
+    assert main(["sweep", "--config", write_config(tmp_path, wide_doc, "wide.json"),
+                 "--out-dir", str(tmp_path / "wide")]) == 0
+    wide = json.loads((tmp_path / "wide" / "manifest.json").read_text())["diagnostics"]
+    assert wide["block_paths"] == 1560
     # one count per status string, over every optimize.csv row
     opt = json.loads((tmp_path / "optimize" / "manifest.json").read_text())["diagnostics"]
     statuses = [row.rsplit(",", 1)[1] for row in

@@ -353,3 +353,75 @@ def test_marginal_density_matches_histogram():
             f"bin {i}: frac {frac:.5f} vs density {p_bin:.5f} (se {se:.2e})"
         )
 
+
+
+def reference_step(x, u, model, dt, w, clamp):
+    """The Euler-Maruyama step written out with `drift` and `diffusion`."""
+    raw = x + drift(x, u, model) * dt + diffusion(x, model) * math.sqrt(dt) * w
+    hit = raw < 0.0
+    return (np.maximum(raw, 0.0) if clamp else raw), hit
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    controls=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=3),
+    starts=st.lists(st.sampled_from([-0.05, 0.0, 0.01, 0.4, 2.0]), min_size=3, max_size=3),
+    per_row=st.booleans(),
+    clamp=st.booleans(),
+    a=st.sampled_from([0, 0.5, 2.0]),
+    sigma1=st.sampled_from([0, 0.3, 1.5]),
+    sigma2=st.sampled_from([0, 0.2, 0.5]),
+    dt=st.sampled_from([0.01, 0.05, 0.25]),
+    first_path=st.integers(0, 2**40),
+    n_paths=st.integers(1, 30),
+    block=st.integers(1, 8),
+    elems=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+)
+# a negative start under the clamp, and a raw recursion that goes below 0
+@example(
+    controls=[1.0, 0.0], starts=[-0.05, 0.01, 0.0], per_row=True, clamp=True,
+    a=0.5, sigma1=1.5, sigma2=0.2, dt=0.25, first_path=7, n_paths=9, block=4,
+    elems=24, seed=3,
+)
+@example(
+    controls=[1.0], starts=[0.01, 0.0, 0.0], per_row=False, clamp=False,
+    a=2.0, sigma1=1.5, sigma2=0.5, dt=0.25, first_path=0, n_paths=5, block=8,
+    elems=24, seed=11,
+)
+def test_engine_step_equals_written_out_step(
+    controls, starts, per_row, clamp, a, sigma1, sigma2, dt, first_path, n_paths,
+    block, elems, seed,
+):
+    """Every block's x_next, hit and sqrt(x) equal the written-out step bit for bit.
+
+    The oracle draws each step through `step_normals`, the definition of
+    the stream, from the engine's own state, so each step is checked alone.
+    """
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    x0 = starts[: len(controls)] if per_row else starts[0]
+    u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
+    n_steps = 6
+    seen = []
+
+    def work(lo, hi):
+        lo, n = first_path + lo, hi - lo
+        steps = dynamics._em_steps(x0, controls, model, dt, n_steps, seed, lo, n, clamp=clamp)
+        want_next = np.broadcast_to(np.reshape(x0, (-1, 1)), (len(controls), n))
+        for j, (s_j, x, u_j, x_next, hit, sq) in enumerate(steps):
+            assert s_j == j * dt
+            assert np.array_equal(u_j, u)
+            assert np.array_equal(x, want_next, equal_nan=True), j
+            w = step_normals(seed, lo, n, j)
+            want_next, want_hit = reference_step(x, u, model, dt, w, clamp)
+            assert np.array_equal(x_next, want_next, equal_nan=True), (j, x_next, want_next)
+            assert np.array_equal(hit, want_hit), j
+            assert np.array_equal(sq, np.sqrt(np.maximum(x, 0.0)), equal_nan=True), j
+        seen.append((lo, n))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_BLOCK_PATHS", block)
+        mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
+        mp.setenv("STUBBORN_THREADS", "1")
+        dynamics._for_each_chunk(n_paths, work, len(controls))
+    assert sum(n for _lo, n in seen) == n_paths

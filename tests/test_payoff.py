@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from stubborn import dynamics
+from stubborn import dynamics, payoff
+from stubborn.dynamics import diffusion, drift, n_steps_for, step_normals
 from stubborn.model import ModelParams, PayoffParams
 from stubborn.payoff import expected_payoff, expected_payoffs, payoff_stationarity
 
@@ -155,3 +157,77 @@ def test_stationarity_matches_near_quadratic_cost():
 def test_stationarity_validates_bracket():
     with pytest.raises(ValueError):
         payoff_stationarity(1.0, 0.005, 0.01, FROZEN, pay(), 0.25, 1, seed=0)
+
+
+def reference_accumulation(x0, controls, model, p, dt, n_paths, seed):
+    """Per-path totals, clamp and invalid flags, written out step by step.
+
+    The cost term takes its own sqrt(x) off the boundary; the step is
+    x + drift*dt + diffusion*sqrt(dt)*w, clamped at 0.
+    """
+    k = p.c / (p.r - p.mu_bar)
+    bonus = p.omega * math.exp(-p.r * p.horizon)
+    u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
+    x = np.empty((len(u), n_paths))
+    x[...] = np.reshape(x0, (-1, 1))
+    running = np.zeros(x.shape)
+    clamped = np.zeros(x.shape, dtype=bool)
+    invalid = np.zeros(x.shape, dtype=bool)
+    for j in range(n_steps_for(p.horizon, dt)):
+        s_j = j * dt
+        at_zero = x <= 0.0
+        invalid |= at_zero & (u > 0.0)
+        running += (
+            math.exp(-p.r * s_j)
+            * (
+                p.reward_coeff * x
+                - np.where(at_zero, 0.0, k * u * u / np.sqrt(np.where(at_zero, 1.0, x)))
+            )
+            * dt
+        )
+        w = step_normals(seed, 0, n_paths, j)
+        raw = x + drift(x, u, model) * dt + diffusion(x, model) * math.sqrt(dt) * w
+        clamped |= raw < 0.0
+        x = np.maximum(raw, 0.0)
+    return running + bonus * np.sqrt(x), clamped, invalid
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    controls=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0, 1.3]), min_size=1, max_size=4),
+    starts=st.lists(st.sampled_from([0.0, 0.02, 0.4, 1.5]), min_size=4, max_size=4),
+    per_row=st.booleans(),
+    sigma1=st.sampled_from([0.0, 0.3, 1.0]),
+    c=st.sampled_from([0.0, 1.0, 2.5]),
+    mu_bar=st.sampled_from([-0.3, 0.0, 0.2]),
+    n_paths=st.integers(1, 30),
+    block=st.integers(1, 8),
+    elems=st.integers(1, 24),
+    threads=st.sampled_from(["1", "2"]),
+    seed=st.integers(0, 2**63),
+)
+# starts at x0 = 0 under u = 0 (valid, no cost) and under u > 0 (invalid)
+@example(
+    controls=[0.0, 0.5, 0.0, 1.0], starts=[0.0, 0.0, 0.4, 0.02], per_row=True,
+    sigma1=1.0, c=1.0, mu_bar=0.0, n_paths=9, block=4, elems=24, threads="2", seed=5,
+)
+def test_accumulation_equals_written_out_payoff(
+    controls, starts, per_row, sigma1, c, mu_bar, n_paths, block, elems,
+    threads, seed,
+):
+    """expected_payoffs' per-path totals and flags equal the written-out sum bit for bit."""
+    model = ModelParams(a=0.5, sigma1=sigma1, sigma2=0.2)
+    p = pay(c=c, mu_bar=mu_bar, horizon=0.5)
+    x0 = starts[: len(controls)] if per_row else starts[0]
+    want = reference_accumulation(x0, controls, model, p, 0.05, n_paths, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # each estimate becomes the (totals, clamp flags, invalid flags) it reduces
+        mp.setattr(payoff, "_estimate", lambda *rows: rows)
+        mp.setattr(dynamics, "_BLOCK_PATHS", block)
+        mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
+        mp.setenv("STUBBORN_THREADS", threads)
+        got = expected_payoffs(x0, controls, model, p, 0.05, n_paths, seed)
+    assert len(got) == len(controls)
+    for i, rows in enumerate(got):
+        for want_rows, got_rows in zip(want, rows, strict=True):
+            assert np.array_equal(want_rows[i], got_rows, equal_nan=True), (i, controls)
