@@ -7,8 +7,10 @@ flags override top-level numerics only (--seed, --dt, --n-paths,
 --out-dir).  Every command writes a manifest.json naming each emitted file;
 CSV numbers use the shortest round-trip decimal representation so repeated
 runs are byte-identical (manifest timing and diagnostics aside).  Each
-command returns (files, ok, diagnostics); the diagnostics dict lands in the
-manifest's `diagnostics` block next to the resolved worker count.
+command returns (written, ok, diagnostics): written maps each emitted file to
+its writing time, summed as the manifest's `timings.write_s` (the rest is
+`compute_s`); diagnostics lands in the manifest's `diagnostics` block next to
+the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
 error.  STUBBORN_THREADS caps the Monte Carlo worker count; outputs do not
@@ -221,10 +223,12 @@ def load_config(path: str) -> RunConfig:
     return parse_config(raw)
 
 
-def _write_json(path: FsPath, obj: dict) -> None:
+def _write_json(path: FsPath, obj: dict) -> float:
+    started = time.perf_counter()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return time.perf_counter() - started
 
 
 def _fmt(value: float) -> str:
@@ -232,14 +236,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> None:
+def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> float:
+    """Write one line per row; return the seconds taken, lazy rows' formatting included."""
+    started = time.perf_counter()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
+    return time.perf_counter() - started
 
 
-def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
+def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     states, clamped = dynamics.simulate_batch(
         num.x0,
@@ -250,21 +257,25 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
         num.seed,
         num.n_paths,
     )
+    # one block of lines per path from its Python floats (repr is _fmt there);
+    # the ",k,s," prefixes are formatted once
+    steps = [f",{k},{_fmt(k * num.dt)}," for k in range(states.shape[1])]
+    flags = (",0", ",1")
     rows = (
-        f"{pid},{k},{_fmt(k * num.dt)},{_fmt(states[pid, k])},{1 if clamped[pid, k] else 0}"
-        for pid in range(states.shape[0])
-        for k in range(states.shape[1])
+        "\n".join([pid + step + repr(x) + flags[hit]
+                   for step, x, hit in zip(steps, xs.tolist(), hits.tolist())])
+        for pid, xs, hits in zip(map(str, range(states.shape[0])), states, clamped)
     )
     out = out_dir / "paths.csv"
-    _write_csv(out, "path_id,step,s,x,clamped", rows)
+    written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", rows)}
     # the share of paths clamped at least once, as sweep's clamp_fraction
     clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
-    return [str(out)], True, {
+    return written, True, {
         "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
     }
 
 
-def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
+def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     u_grid = np.linspace(0.0, 1.0, num.u_grid_n)
     estimates = expected_payoffs(
@@ -281,15 +292,15 @@ def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict
         for u, est in zip(u_grid, estimates)
     ]
     out = out_dir / "sweep.csv"
-    _write_csv(out, "u,J_mean,J_stderr,invalid_fraction", rows)
-    return [str(out)], True, {
+    written = {str(out): _write_csv(out, "u,J_mean,J_stderr,invalid_fraction", rows)}
+    return written, True, {
         # one entry per sweep.csv row
         "clamp_fraction": [est.clamp_fraction for est in estimates],
         "block_paths": dynamics._block_paths(len(u_grid)),
     }
 
 
-def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
+def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     sg = config.resolved_s_grid()
     xg = num.x_grid
@@ -326,11 +337,11 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
                 )
             status_counts[status] = status_counts.get(status, 0) + 1
     out = out_dir / "optimize.csv"
-    _write_csv(
+    written = {str(out): _write_csv(
         out, "s,x,u_star,u_unclamped,residual,n_candidates,mode_flags,status", rows
-    )
+    )}
     tol = num.tolerances.residual_rel
-    return [str(out)], True, {
+    return written, True, {
         "status_counts": status_counts,
         "ranked_cells": ranked_cells,
         "certificate_max": max(certificates, default=0.0),
@@ -338,7 +349,7 @@ def cmd_optimize(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
     }
 
 
-def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
+def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     dens = num.density
     xg = num.x_grid
@@ -379,11 +390,11 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, di
         if step_idx % dens.snapshot_stride == 0 or step_idx == dens.n_steps:
             snapshot(grid)
     out = out_dir / "density.csv"
-    _write_csv(out, "s,x,psi", rows)
-    return [str(out)], True, {"boundary_warnings": warnings}
+    written = {str(out): _write_csv(out, "s,x,psi", rows)}
+    return written, True, {"boundary_warnings": warnings}
 
 
-def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, dict]:
+def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     tol = num.tolerances
     report = checks.run_all_checks(
@@ -395,10 +406,10 @@ def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[list[str], bool, d
         quad_rel=tol.quad_rel,
     )
     out = out_dir / "report.json"
-    _write_json(out, report)
+    written = {str(out): _write_json(out, report)}
     for name, suite in sorted(report["suites"].items()):
         print(f"{'PASS' if suite['passed'] else 'FAIL'}: {name}")
-    return [str(out)], bool(report["passed"]), {}
+    return written, bool(report["passed"]), {}
 
 
 COMMANDS = {
@@ -416,18 +427,22 @@ def _write_manifest(
     config: RunConfig | None,
     status: str,
     error: str | None,
-    duration: float = 0.0,
+    compute_s: float = 0.0,
+    write_s: float = 0.0,
     files: list[str] | None = None,
     checks_passed: bool | None = None,
     diagnostics: dict | None = None,
 ) -> None:
-    """Write out/manifest.json; config is None when it never parsed."""
+    """Write out/manifest.json; config is None when it never parsed.
+
+    The two timings sum to duration_seconds exactly."""
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "config": None if config is None else dataclasses.asdict(config),
         "seed": None if config is None else config.numerics.seed,
-        "duration_seconds": duration,
+        "duration_seconds": compute_s + write_s,
+        "timings": {"compute_s": compute_s, "write_s": write_s},
         "diagnostics": diagnostics or {},
         "files": files or [],
         "checks_passed": checks_passed,
@@ -449,14 +464,14 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
     started = time.perf_counter()
-    files: list[str] = []
+    written: dict[str, float] = {}
     diagnostics: dict = {}  # no worker count when STUBBORN_THREADS is malformed
     status = "ok"
     checks_passed: bool | None = None
     error_text: str | None = None
     try:
         diagnostics["worker_count"] = dynamics._worker_count()
-        files, ok, found = COMMANDS[name](config, out)
+        written, ok, found = COMMANDS[name](config, out)
         diagnostics.update(found)
         if name == "validate":
             checks_passed = ok
@@ -468,9 +483,10 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced via manifest + exit code
         status = "error"
         error_text = f"{type(exc).__name__}: {exc}"
+    write_s = sum(written.values())
     _write_manifest(
-        out, name, config, status, error_text, duration=time.perf_counter() - started,
-        files=files, checks_passed=checks_passed, diagnostics=diagnostics,
+        out, name, config, status, error_text, time.perf_counter() - started - write_s,
+        write_s, files=list(written), checks_passed=checks_passed, diagnostics=diagnostics,
     )
     if status == "ok":
         return 0

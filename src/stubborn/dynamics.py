@@ -23,7 +23,10 @@ written with `drift` and `diffusion`.
 The simulators here (`simulate_batch` stores whole paths, `simulate_final`
 keeps only the final states), `payoff.expected_payoffs` and
 `feynman_kac.fk_estimate` are per-step accumulators over those two
-functions.
+functions.  `simulate_final` is the engine's test harness: no command
+reaches it, only the moment-law and histogram tests (and the benchmark's
+reference script), and it is the package's only caller of
+`_em_steps(clamp=False)`.
 
 A control is a constant stubbornness u, as in the paper.  The recursion
 has a leading control axis: it steps a (k, n_paths) block for k controls

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from functools import reduce
 from pathlib import Path
 
@@ -168,6 +169,37 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert manifest["seed"] == 3
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n_paths=st.integers(1, 40),
+    dt=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
+    # 1e-5 prints in exponent form; 0.05 reaches the clamp
+    x0=st.sampled_from([0.0, 1e-5, 0.05, 1.0, 3.0]),
+    threads=st.sampled_from(["1", "2"]),
+    seed=st.integers(0, 2**31),
+)
+def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, seed):
+    # paths.csv is formatted a path at a time; the reference formats one
+    # row at a time from numpy scalars (shortest round-trip repr), and the
+    # bytes must agree
+    doc = dict(MINIMAL, numerics=small_numerics(n_paths=n_paths, dt=dt, x0=x0, seed=seed))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STUBBORN_THREADS", threads)
+        out = Path(tmp) / "out"
+        assert main(["simulate", "--config", write_config(Path(tmp), doc),
+                     "--out-dir", str(out)]) == 0
+        written = (out / "paths.csv").read_bytes()
+    states, clamped = dynamics.simulate_batch(
+        x0, 0.0, ModelParams(**MINIMAL["model"]), dt, 1.0, seed, n_paths
+    )
+    rows = [
+        f"{pid},{k},{float(k * dt)!r},{float(states[pid, k])!r},{1 if clamped[pid, k] else 0}\n"
+        for pid in range(states.shape[0])
+        for k in range(states.shape[1])
+    ]
+    assert written == ("path_id,step,s,x,clamped\n" + "".join(rows)).encode()
+
+
 def test_sweep_row_contract(tmp_path):
     doc = dict(MINIMAL, numerics=small_numerics())
     code = main(["sweep", "--config", write_config(tmp_path, doc),
@@ -216,8 +248,13 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     for command in ("simulate", "sweep", "optimize", "density", "validate"):
         out = tmp_path / command
         assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 0
-        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diagnostics["worker_count"] == 3, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["worker_count"] == 3, command
+        # writing the output files, and the rest of the command
+        timings = manifest["timings"]
+        assert sorted(timings) == ["compute_s", "write_s"], command
+        assert min(timings.values()) >= 0.0, command
+        assert timings["compute_s"] + timings["write_s"] <= manifest["duration_seconds"]
     # the share of simulated paths that hit the clamp at least once
     sim = json.loads((tmp_path / "simulate" / "manifest.json").read_text())["diagnostics"]
     assert sim["clamp_fraction"] == 0.0
@@ -284,6 +321,7 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "bad")]) == 2
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert bad["diagnostics"] == {"worker_count": 3}
+    assert bad["timings"] == {"compute_s": 0.0, "write_s": 0.0}
 
 
 def test_optimize_evaluates_each_row_in_two_partials_calls(tmp_path, monkeypatch):
