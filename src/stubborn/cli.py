@@ -272,6 +272,7 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
     return written, True, {
         "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
+        "draw_steps": dynamics._draw_steps(dynamics._block_paths(1)),
     }
 
 
@@ -297,6 +298,7 @@ def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], boo
         # one entry per sweep.csv row
         "clamp_fraction": [est.clamp_fraction for est in estimates],
         "block_paths": dynamics._block_paths(len(u_grid)),
+        "draw_steps": dynamics._draw_steps(dynamics._block_paths(len(u_grid))),
     }
 
 

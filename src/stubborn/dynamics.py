@@ -10,8 +10,15 @@ pure function of those three integers (SplitMix64-style bit mixing feeding
 a Box-Muller transform), so per-path streams are bit-reproducible and
 independent of batch layout, chunking, and thread count.  `step_normals`
 defines the stream; the engine computes each path's key
-_mix64(seed + GOLDEN*(path+1)) once per block and draws every step from
-those keys, with the same operations in the same order.
+_mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
+several steps per call, as one (S, m) array for S steps of the block's m
+paths, with the same operations in the same order on every element, so
+each row equals its step's `step_normals` bit for bit.  S = `_draw_steps(m)`
+caps a call at `_BLOCK_ELEMS` normals: 2 steps for 16384 paths, 21 for
+the 1560-path blocks of a 21-control sweep, every step of an `optimize`
+ranking block; the last call is cut at n_steps.  One call per step on
+1560 paths was too short (about 17 numpy calls per step) for two
+threads to overlap; an uncapped S slowed one thread.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and threads.
@@ -42,10 +49,11 @@ path-control pairs (16384 paths for one or two controls, 1560 for
 twenty-one).  Blocks run on worker threads unless a block has more rows
 (controls) than paths, as in an `optimize` ranking pass (about 200-280
 candidate rows in blocks of 117-159 paths).  A second thread did not
-shorten such a pass: `optimize` on the perfbench `feedback_grid`
-scenario took a median 0.192 s with this rule and 0.189 s without it (16
-alternated processes each, min of 3 passes, 2 cores), and the thread
-raised peak RSS by 2 MB (34.4 against 36.5 MB), the second block's
+measurably shorten such a pass: `optimize` on the perfbench
+`feedback_grid` scenario took a median 0.180 s with this rule and 0.170 s
+without it, inside each other's quartiles (0.158-0.197 and 0.163-0.186 s;
+16 alternated processes each, min of 3 passes, 2 cores), and the thread
+raised peak RSS by 2 MB (35.1 against 37.0 MB), the second block's
 working set.
 """
 
@@ -104,20 +112,26 @@ def _path_keys(seed: int, first_path: int, n_paths: int) -> np.ndarray:
     return _mix64(paths)
 
 
-def _step_draw(keys: np.ndarray, step: int) -> np.ndarray:
-    """Standard-normal draws at one step for the paths with these keys.
+def _step_draws(keys: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:
+    """Standard-normal draws at steps first_step..first_step+n_steps-1.
 
-    Box-Muller on two SplitMix64 outputs per path, computed in place.
+    Row i of the (n_steps, len(keys)) result holds step first_step+i for
+    the paths with these keys.  Box-Muller on two SplitMix64 outputs per
+    path and step, computed in place; every element sees the same
+    operations as in a one-step draw, so rows do not depend on n_steps.
     """
-    # Scalar offsets wrap in Python int space; numpy scalar uint64 multiplies
-    # would emit spurious overflow warnings.
-    z = _mix64(keys + np.uint64((_GOLDEN_INT * (2 * step + 1)) & _MASK))
+    steps = range(first_step, first_step + n_steps)
+    # Offsets wrap in Python int space; numpy scalar uint64 multiplies would
+    # emit spurious overflow warnings.
+    odd = np.array([(_GOLDEN_INT * (2 * j + 1)) & _MASK for j in steps], dtype=np.uint64)
+    even = np.array([(_GOLDEN_INT * (2 * j + 2)) & _MASK for j in steps], dtype=np.uint64)
+    z = _mix64(keys + odd.reshape(-1, 1))
     z >>= np.uint64(11)
     # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
     u1 = z.astype(np.float64)
     u1 += 1.0
     u1 *= _INV53
-    np.add(keys, np.uint64((_GOLDEN_INT * (2 * step + 2)) & _MASK), out=z)
+    np.add(keys, even.reshape(-1, 1), out=z)
     _mix64(z)
     z >>= np.uint64(11)
     u2 = z.astype(np.float64)
@@ -137,9 +151,10 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
     Pure function of (seed, path_index, step_index); random access in both
     path and step, which is what makes chunked/threaded simulation
     bit-stable.  This is the definition of the noise stream; the engine
-    computes the same draws from keys it keeps for a whole block.
+    computes the same draws, several steps per call, from keys it keeps
+    for a whole block.
     """
-    return _step_draw(_path_keys(seed, first_path, n_paths), step)
+    return _step_draws(_path_keys(seed, first_path, n_paths), step, 1)[0]
 
 
 def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
@@ -201,12 +216,15 @@ def _em_steps(
     a, sigma1, sigma2 = model.a, model.sigma1, model.sigma2
     sqrt_dt = math.sqrt(dt)
     keys = _path_keys(seed, first_path, n_paths)
+    chunk = _draw_steps(n_paths)
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
     x_next, sq, sx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     hit = np.empty(x.shape, dtype=bool)
     for j in range(n_steps):
-        w = _step_draw(keys, j)
+        if j % chunk == 0:
+            noise = _step_draws(keys, j, min(chunk, n_steps - j))
+        w = noise[j % chunk]
         # The update x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w in its
         # rounding order, in place.  Clamped states are never negative, so
         # only the raw recursion and a start state need max(x, 0).
@@ -232,13 +250,17 @@ def _em_steps(
 
 
 def _worker_count() -> int:
-    """STUBBORN_THREADS, or the CPU count when it is unset or empty.
+    """STUBBORN_THREADS, or the CPUs this process may run on when it is unset or empty.
 
-    Raises ParameterError when it is set to anything but a positive
-    integer in decimal digits.
+    The CPU count is the size of the affinity mask where the platform has
+    one (so `taskset` and cpusets are honoured), else `os.cpu_count()`.
+    Raises ParameterError when STUBBORN_THREADS is set to anything but a
+    positive integer in decimal digits.
     """
     env = os.environ.get("STUBBORN_THREADS")
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if not (env.isascii() and env.isdigit() and int(env) > 0):
         raise ParameterError(f"STUBBORN_THREADS must be a positive integer, got {env!r}")
@@ -252,6 +274,15 @@ def _block_paths(n_controls: int) -> int:
     `sweep` record it as `block_paths`.
     """
     return max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
+
+
+def _draw_steps(n_paths: int) -> int:
+    """Steps of noise `_em_steps` draws per call for a block of n_paths paths.
+
+    At most `_BLOCK_ELEMS` normals and at least one step per call; the
+    manifests of `simulate` and `sweep` record it as `draw_steps`.
+    """
+    return max(1, _BLOCK_ELEMS // n_paths)
 
 
 def _for_each_chunk(

@@ -273,11 +273,15 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     # mc_sweep shape of 21 controls at 32768 paths (four steps here)
     assert sim["block_paths"] == low["block_paths"] == 16384
     assert sweep["block_paths"] == 32768 // 11
+    # steps of noise per draw: at most 32768 normals per call for a full block
+    assert sim["draw_steps"] == low["draw_steps"] == 2
+    assert sweep["draw_steps"] == 11
     wide_doc = dict(MINIMAL, numerics=small_numerics(dt=0.25, n_paths=32768, u_grid_n=21))
     assert main(["sweep", "--config", write_config(tmp_path, wide_doc, "wide.json"),
                  "--out-dir", str(tmp_path / "wide")]) == 0
     wide = json.loads((tmp_path / "wide" / "manifest.json").read_text())["diagnostics"]
     assert wide["block_paths"] == 1560
+    assert wide["draw_steps"] == 21
     # one count per status string, over every optimize.csv row
     opt = json.loads((tmp_path / "optimize" / "manifest.json").read_text())["diagnostics"]
     statuses = [row.rsplit(",", 1)[1] for row in
@@ -607,7 +611,7 @@ def test_valid_thread_counts_run(tmp_path, monkeypatch, threads):
     assert main(["sweep", "--config", write_config(tmp_path, MINIMAL),
                  "--out-dir", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["diagnostics"]["worker_count"] == int(threads or os.cpu_count())
+    assert manifest["diagnostics"]["worker_count"] == int(threads or len(os.sched_getaffinity(0)))
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ def test_thread_fan_out(monkeypatch, n_paths, n_controls, threads, pool):
     assert sorted(seen) == [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
+def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("STUBBORN_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert dynamics._worker_count() == 2
+    # without an affinity call, the CPU count; at least one worker
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert dynamics._worker_count() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert dynamics._worker_count() == 1
+    monkeypatch.setenv("STUBBORN_THREADS", "3")
+    assert dynamics._worker_count() == 3
+
+
 def test_per_row_start_states_must_match_the_policies():
     steps = dynamics._em_steps([0.1, 0.2], [0.0], ENGINE_MODEL, 0.05, 2, 0, 0, 3)
     with pytest.raises(ValueError, match="2 start states for 1 controls"):
@@ -244,6 +259,31 @@ def test_noise_is_random_access():
     block = step_normals(9, 0, 100, 3)
     shifted = step_normals(9, 40, 60, 3)
     assert np.array_equal(block[40:], shifted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first_path=st.integers(0, 2**40),
+    n_paths=st.integers(1, 40),
+    n_steps=st.sampled_from([5, 7, 10]),
+    chunk=st.sampled_from(["one", "non-divisor", "longer"]),
+)
+def test_multi_step_draw_equals_step_normals(seed, first_path, n_paths, n_steps, chunk):
+    """Each row of a several-step draw is that step's `step_normals`, bit for bit.
+
+    The steps are drawn in chunks as `_em_steps` does, the last cut at n_steps.
+    """
+    size = {"one": 1, "non-divisor": 3, "longer": n_steps + 4}[chunk]
+    keys = dynamics._path_keys(seed, first_path, n_paths)
+    rows = []
+    for first in range(0, n_steps, size):
+        draw = dynamics._step_draws(keys, first, min(size, n_steps - first))
+        assert draw.shape == (min(size, n_steps - first), n_paths)
+        rows.extend(draw)
+    assert len(rows) == n_steps
+    for j, row in enumerate(rows):
+        assert np.array_equal(row, step_normals(seed, first_path, n_paths, j)), j
 
 
 def test_noise_is_standard_normal():
@@ -388,6 +428,19 @@ def reference_step(x, u, model, dt, w, clamp):
     controls=[1.0], starts=[0.01, 0.0, 0.0], per_row=False, clamp=False,
     a=2.0, sigma1=1.5, sigma2=0.5, dt=0.25, first_path=0, n_paths=5, block=8,
     elems=24, seed=11,
+)
+# noise drawn 4 steps per call for full blocks of 4 paths, so the second
+# call is cut at step 6; the last block of 1 path draws all 6 steps at once
+@example(
+    controls=[1.0, 0.0], starts=[-0.05, 0.01, 0.0], per_row=True, clamp=True,
+    a=0.5, sigma1=1.5, sigma2=0.2, dt=0.25, first_path=2**40, n_paths=9, block=4,
+    elems=16, seed=3,
+)
+# 5 steps per call for blocks of 3 paths
+@example(
+    controls=[0.3], starts=[0.4, 0.0, 0.0], per_row=False, clamp=False,
+    a=2.0, sigma1=1.5, sigma2=0.5, dt=0.05, first_path=12345, n_paths=7, block=3,
+    elems=15, seed=2**64 - 1,
 )
 def test_engine_step_equals_written_out_step(
     controls, starts, per_row, clamp, a, sigma1, sigma2, dt, first_path, n_paths,
