@@ -36,6 +36,7 @@ GAUSSIAN_GRID = {
     "beta_pow": (0.5, 1.0, 2.0),
 }
 AGREE_TOL = 1e-3  # closed-form u vs the grid+bisection oracle
+SCAN_GRID_N = 512  # the root scan's grid is k / SCAN_GRID_N, k = 1..SCAN_GRID_N
 PRINTED_FAIL_FRACTION = 0.9  # printed root formula must diverge this often
 
 
@@ -174,9 +175,12 @@ def check_trivial_root(n_scenarios: int = 100, seed: int = 7) -> dict:
 
 
 def sample_root_scenario(rng: np.random.Generator) -> Scenario | None:
-    """One scenario (s = 0, l0 = 0) whose exact-expansion root gives u in (0, 1).
+    """One scenario (s = 0, l0 = 0) whose exact-expansion roots the scan can check.
 
-    Returns None when the draw has no such root; resample on None.
+    Some root gives u in [1/SCAN_GRID_N, 1) and none gives u in
+    (0, 1/SCAN_GRID_N), below the scan's first grid point, where the scan
+    cannot see it.  Returns None when the draw has no such roots; resample
+    on None.
     """
     rm = rng.uniform(0.1, 0.7)
     mu_bar = rng.uniform(-0.1, 0.3)
@@ -201,8 +205,9 @@ def sample_root_scenario(rng: np.random.Generator) -> Scenario | None:
         state=State(s=0.0, x=rng.uniform(0.4, 2.5)),
     )
     coeffs = closed_form_coeffs(sc.state, sc.model, sc.payoff, sc.lagrange)
-    roots = solve_quartic(coeffs, "rederived")
-    if any(z > 0.0 and 0.0 < math.sqrt(z) < 1.0 for z in roots):
+    us = [math.sqrt(z) for z in solve_quartic(coeffs, "rederived") if z > 0.0]
+    u_min = 1.0 / SCAN_GRID_N
+    if any(u_min <= u < 1.0 for u in us) and all(u >= u_min for u in us):
         return sc
     return None
 
@@ -255,11 +260,11 @@ def check_root_residuals(
             if z >= 0.0:
                 worst_poly = max(worst_poly, abs(coeffs.polynomial_residual(z)) / scale)
 
-        scan = root_scan(sc.state, sc.model, sc.payoff, sc.lagrange, modes, grid_n=512)
+        scan = root_scan(sc.state, sc.model, sc.payoff, sc.lagrange, modes, grid_n=SCAN_GRID_N)
         if not scan:
             worst_agree = math.inf
         else:
-            nearest = min(scan, key=lambda pair: abs(pair[0] - u_closed))[0]
+            nearest = min(scan, key=lambda u: abs(u - u_closed))
             worst_agree = max(worst_agree, abs(u_closed - nearest))
 
         lhs, rhs = _nash_sides(
@@ -346,10 +351,21 @@ def check_fk_cases(dt: float, n_paths: int, seed: int) -> dict:
     }
 
 
+def _null_if_not_finite(suite: dict) -> dict:
+    """The suite with each non-finite float as None, which JSON writes as null."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in suite.items()}
+
+
 def run_all_checks(
     n_paths: int, dt: float, seed: int, fd_rel: float, residual_rel: float, quad_rel: float
 ) -> dict:
-    """Every suite, keyed by name, plus an overall pass flag."""
+    """Every suite, keyed by name, plus an overall pass flag.
+
+    A suite value that is not finite (an empty root scan makes
+    max_closed_vs_scan infinite) is reported as None, so the report is
+    strict JSON; each suite's pass flag is decided before that.
+    """
     suites = [
         check_gaussian_identity(quad_rel),
         check_finite_differences(fd_rel=fd_rel, seed=seed + 1),
@@ -358,6 +374,6 @@ def run_all_checks(
         check_fk_cases(dt=dt, n_paths=n_paths, seed=seed + 4),
     ]
     return {
-        "suites": {s["name"]: s for s in suites},
+        "suites": {s["name"]: _null_if_not_finite(s) for s in suites},
         "passed": bool(all(s["passed"] for s in suites)),
     }

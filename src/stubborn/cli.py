@@ -515,10 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    diagnostics: dict = {}
     try:
-        # a malformed STUBBORN_THREADS is a usage error, found before any work
-        diagnostics["worker_count"] = dynamics._worker_count()
         config = load_config(args.config)
         overrides = {"seed": args.seed, "dt": args.dt, "n_paths": args.n_paths}
         num = dataclasses.replace(
@@ -529,8 +526,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParameterError) as exc:
         # a manifest is emitted even when the config never parsed
         try:
-            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc),
-                            diagnostics=diagnostics)
+            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc))
         except OSError:
             pass
         print(f"error: {exc}", file=sys.stderr)

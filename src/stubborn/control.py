@@ -106,8 +106,7 @@ def _nash_sides(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: Lag
     x and u are floats or float64 arrays, as `_partials` takes them; each
     element equals the one-point evaluation bit for bit.  Checks nothing.
     """
-    _f, f_u, f_x, f_xx, f_xu = _partials(s, x, u, model, payoff, lagrange,
-                                         modes.derivative_mode, None)
+    f_u, f_x, f_xx, f_xu = _partials(s, x, u, model, payoff, lagrange, modes.derivative_mode)
     if modes.nash_mode == "paper":
         return f_u * f_xx * f_xx, 2.0 * f_x * f_xu
     return f_u * f_xx, f_x * f_xu
@@ -148,9 +147,9 @@ def _coefficient_row(
     """
     if not payoff.r > payoff.mu_bar:
         raise ParameterError("r must exceed mu_bar")
-    # published mode at u = 0; f is discarded, so Mbar = 0
-    _f, _f_u, A2, A3, _f_xu = _partials(s, np.array(xs, dtype=float), 0.0, model, payoff,
-                                        lagrange, "paper", 0.0)
+    # published mode at u = 0
+    _f_u, A2, A3, _f_xu = _partials(s, np.array(xs, dtype=float), 0.0, model, payoff,
+                                    lagrange, "paper")
     rm = payoff.r - payoff.mu_bar
     c = payoff.c
     d3 = math.exp(-3.0 * payoff.r * s)
@@ -278,11 +277,12 @@ def root_scan(
     lagrange: LagrangeParams,
     modes: ModeFlags = ModeFlags(),
     grid_n: int = 512,
-) -> list[tuple[float, float]]:
-    """All sign-change roots of the stationarity residual on (0, 1].
+) -> list[float]:
+    """All sign-change roots of the stationarity residual on (0, 1], ascending.
 
-    Independent of the closed form: pure grid scan plus bisection.  Returns
-    (root, residual-at-root) pairs; an empty list is a valid outcome.
+    Independent of the closed form: pure grid scan plus bisection on the
+    grid k/grid_n, k = 1..grid_n, so a root below 1/grid_n is not seen.  An
+    empty list is a valid outcome.
     """
     _require_positive_x(state.x, 1.0)  # every scanned u is positive
 
@@ -290,11 +290,11 @@ def root_scan(
         lhs, rhs = _nash_sides(state.s, state.x, u, model, payoff, lagrange, modes)
         return lhs - rhs
 
-    return [(u, fn(u)) for u in scan_sign_changes(fn, grid_n)]
+    return scan_sign_changes(fn, grid_n)
 
 
 def _candidates(coeffs: ClosedFormCoeffs, closed_form_mode: str) -> tuple[list[float], list[float]]:
-    """(z roots, candidates u = +sqrt(z) for z >= 0) of the closed form."""
+    """(z roots, candidates u = +sqrt(z) for z >= 0) of the closed form, both ascending."""
     a, b, c = coeffs.quadratic_coeffs()
     if a == 0.0 and b == 0.0 and c == 0.0:
         z_roots: list[float] = []
@@ -329,48 +329,49 @@ def optimal_stubbornness_row(
         raise ParameterError("s must not exceed horizon")
     # State checks s and each x, as the one-cell call does
     inside = [i for i, x in enumerate(xs) if State(s=s, x=x).x >= X_MIN]
-    coeffs = _coefficient_row(s, [xs[i] for i in inside], model, payoff, lagrange)
-    # in-domain cell index -> (z roots, candidates)
-    found = {i: _candidates(cf, modes.closed_form_mode) for i, cf in zip(inside, coeffs)}
+    x_inside = [xs[i] for i in inside]
+    coeffs = _coefficient_row(s, x_inside, model, payoff, lagrange)
+    # per in-domain cell: (z roots, candidates), both ascending
+    found = [_candidates(cf, modes.closed_form_mode) for cf in coeffs]
+    # per in-domain cell: (u, status), the smallest candidate unless ranked
+    chosen = [(u_candidates[0], "ok") if u_candidates else (0.0, "trivial root only")
+              for _z_roots, u_candidates in found]
     remaining = payoff.horizon - s
-    ranked: list[int] = []  # cells with several candidates and horizon left
+    ranked: list[int] = []  # in-domain cells with several candidates and horizon left
     if remaining >= dt / 2.0:
-        ranked = [i for i in inside if len(found[i][1]) >= 2]
-    chosen: dict[int, tuple[float, str]] = {}  # in-domain cell index -> (u, status)
+        ranked = [cell for cell, (_z_roots, us) in enumerate(found) if len(us) >= 2]
     if ranked:
         n_rem = max(1, round(remaining / dt))
         payoff_rem = dataclasses.replace(payoff, horizon=n_rem * dt)
-        rows = [(xs[i], u) for i in ranked for u in sorted(found[i][1])]
+        rows = [(x_inside[cell], u) for cell in ranked for u in found[cell][1]]
         estimates = iter(expected_payoffs(
             [x for x, _u in rows], [u for _x, u in rows],
             model, payoff_rem, dt, n_paths, seed,
         ))
-        for i in ranked:
-            candidates = sorted(found[i][1])
+        for cell in ranked:
+            candidates = found[cell][1]
             best_u, best_j = candidates[0], -math.inf
             for u, est in zip(candidates, estimates):
                 if est.mean > best_j:
                     best_u, best_j = u, est.mean
-            chosen[i] = (best_u, "ok" if best_j > -math.inf else "no valid ranking path")
+            chosen[cell] = (best_u, "ok" if best_j > -math.inf else "no valid ranking path")
 
-    for i in inside:
-        if i not in chosen:
-            u_candidates = found[i][1]
-            chosen[i] = (min(u_candidates), "ok") if u_candidates else (0.0, "trivial root only")
     # the residual column of the row in one array evaluation
-    u_star = np.array([clamp_control(u) for u, _status in chosen.values()])
-    x = np.array([xs[i] for i in chosen], dtype=float)
-    lhs, rhs = _nash_sides(s, x, u_star, model, payoff, lagrange, modes)
+    u_star = np.array([clamp_control(u) for u, _status in chosen])
+    lhs, rhs = _nash_sides(s, np.array(x_inside, dtype=float), u_star, model, payoff, lagrange,
+                           modes)
     results: list = [ClosedFormDomainError("state below closed-form domain") for _x in xs]
-    for i, u, lhs_i, rhs_i in zip(chosen, u_star.tolist(), lhs.tolist(), rhs.tolist()):
+    for i, (z_roots, u_candidates), (u, status), u_clamped, lhs_i, rhs_i in zip(
+        inside, found, chosen, u_star.tolist(), lhs.tolist(), rhs.tolist()
+    ):
         results[i] = OptimalControlResult(
-            z_roots=tuple(found[i][0]),
-            u_candidates=tuple(found[i][1]),
-            u_star=u,
-            u_unclamped=chosen[i][0],
+            z_roots=tuple(z_roots),
+            u_candidates=tuple(u_candidates),
+            u_star=u_clamped,
+            u_unclamped=u,
             residual=lhs_i - rhs_i,
             certificate=_certificate(lhs_i, rhs_i),
-            reason=chosen[i][1],
+            reason=status,
         )
     return results, len(ranked)
 

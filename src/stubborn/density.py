@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lagrangian import _partials, _require_positive_x
+from .lagrangian import _f_core, _partials, _require_positive_x
 from .model import LagrangeParams, ModeFlags, ModelParams, PayoffParams, State
 
 BOUNDARY_MASS_LIMIT = 1e-6
@@ -110,9 +110,9 @@ def model_fields(
         # the first point outside (0, inf) raises what derivatives() raises there
         state = State(s=s, x=float(bad[0] if bad.size else x[0]))
         _require_positive_x(state.x, u)
-        f, _, f_x, f_xx, _ = _partials(s, x, u, model, payoff, lagrange,
-                                       modes.derivative_mode, Mbar)
-        return f, f_x, f_xx
+        _f_u, f_x, f_xx, _f_xu = _partials(s, x, u, model, payoff, lagrange,
+                                           modes.derivative_mode)
+        return _f_core(s, x, u, model, payoff, lagrange, Mbar), f_x, f_xx
 
     return fields
 

@@ -20,13 +20,15 @@ The two modes agree on f and f_u everywhere; their difference on f_x,
 f_xx, f_xu is available in closed form via :func:`derivative_gap`.
 
 The partials live once, in `_partials`, which takes x and u as floats or
-float64 arrays: :func:`derivatives` is its checked one-point entry,
-`density.model_fields` evaluates a whole x grid with it in one call, and
-`control` reads the closed-form coefficients A2 and A3 from it, the
-published f_x and f_xx at u = 0 (`control.closed_form_coeffs` for one
-cell, and the x row of an `optimize` row in one call), and evaluates the
-stationarity condition with it on a whole u grid (`root_scan`) or on one
-(x, u) per cell of an `optimize` row.
+float64 arrays and returns (f_u, f_x, f_xx, f_xu), not f: :func:`derivatives`
+is its checked one-point entry, `density.model_fields` evaluates a whole x
+grid with it in one call, and `control` reads the closed-form coefficients
+A2 and A3 from it, the published f_x and f_xx at u = 0
+(`control.closed_form_coeffs` for one cell, and the x row of an `optimize`
+row in one call), and evaluates the stationarity condition with it on a
+whole u grid (`root_scan`) or on one (x, u) per cell of an `optimize` row.
+f itself lives once, in `_f_core`, which the two callers that return f
+(`derivatives` and `density.model_fields`) call beside `_partials`.
 """
 
 from __future__ import annotations
@@ -94,7 +96,12 @@ def _require_positive_x(x: float, u: float) -> None:
 
 
 def _f_core(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams, Mbar):
-    """Dtype-generic evaluation of f; works for float64 and longdouble alike."""
+    """Dtype-generic evaluation of f; works for float64 and longdouble alike.
+
+    Mbar=None means :func:`default_terminal_constant` at x.
+    """
+    if Mbar is None:
+        Mbar = default_terminal_constant(payoff, x)
     D = np.exp(-payoff.r * s)
     E = np.exp(model.sigma2 * x)
     k = payoff.c / (payoff.r - payoff.mu_bar)
@@ -122,8 +129,6 @@ def hand_coded_f(
 ) -> float:
     """f written out in full for the worked dynamics (diffusion term unscaled by l0)."""
     _require_positive_x(state.x, u)
-    if Mbar is None:
-        Mbar = default_terminal_constant(payoff, state.x)
     return float(_f_core(state.s, state.x, u, model, payoff, lagrange, Mbar))
 
 
@@ -160,20 +165,20 @@ def assemble_f_from_generator(
 
 
 def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: LagrangeParams,
-              mode: str, Mbar):
-    """(f, f_u, f_x, f_xx, f_xu) at (s, x, u); x and u are floats or float64 arrays.
+              mode: str):
+    """(f_u, f_x, f_xx, f_xu) at (s, x, u); x and u are floats or float64 arrays.
 
     The one copy of the partials, shared by :func:`derivatives` (one point),
     :func:`stubborn.density.model_fields` (an x grid),
     `stubborn.control._nash_sides` (a u grid, or one u per x) and the
     closed-form coefficients at u = 0 (`stubborn.control.closed_form_coeffs`,
-    and an `optimize` row's x grid in one call).  Each element
+    and an `optimize` row's x grid in one call).  f is not among them: it
+    depends on the terminal constant Mbar, which no partial does, and only
+    `derivatives` and `model_fields` return it, from `_f_core`.  Each element
     of an array evaluation equals the one-point value bit for bit.  Checks
     nothing; a non-array x is evaluated in Python floats, which is faster
     than numpy scalars and gives the same bits.
     """
-    if Mbar is None:
-        Mbar = default_terminal_constant(payoff, x)
     s2 = model.sigma2
     a = model.a
     D = float(np.exp(-payoff.r * s))
@@ -188,7 +193,6 @@ def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: Lagra
     sig = model.sigma1 - s2 * x
     l0, l1 = lagrange.l0, lagrange.l1
 
-    f = _f_core(s, x, u, model, payoff, lagrange, Mbar)
     f_u = -2.0 * k * u * D / sqx - s2 * E * l0
 
     if mode == "consistent":
@@ -236,7 +240,7 @@ def _partials(s, x, u, model: ModelParams, payoff: PayoffParams, lagrange: Lagra
             + 0.5 * sig * sig * s2**4 * E
         )
         f_xu = -k * u * D / x15
-    return f, f_u, f_x, f_xx, f_xu
+    return f_u, f_x, f_xx, f_xu
 
 
 def derivatives(
@@ -258,7 +262,8 @@ def derivatives(
     if mode not in DERIVATIVE_MODES:
         raise ValueError(f"mode must be one of {DERIVATIVE_MODES}")
     _require_positive_x(state.x, u)
-    f, f_u, f_x, f_xx, f_xu = _partials(state.s, state.x, u, model, payoff, lagrange, mode, Mbar)
+    f = _f_core(state.s, state.x, u, model, payoff, lagrange, Mbar)
+    f_u, f_x, f_xx, f_xu = _partials(state.s, state.x, u, model, payoff, lagrange, mode)
     return DerivativeBundle(f=float(f), f_u=float(f_u), f_x=float(f_x), f_xx=float(f_xx),
                             f_xu=float(f_xu))
 

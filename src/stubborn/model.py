@@ -54,13 +54,9 @@ class PayoffParams:
     horizon: float
 
     @property
-    def alpha_sum(self) -> float:
-        return self.alpha1 + self.alpha2 + self.alpha3
-
-    @property
     def reward_coeff(self) -> float:
         """theta + alpha1 + alpha2 + alpha3, the linear payoff slope in x."""
-        return self.theta + self.alpha_sum
+        return self.theta + (self.alpha1 + self.alpha2 + self.alpha3)
 
 
 @dataclass(frozen=True)

@@ -41,18 +41,17 @@ from .model import ModelParams, PayoffParams
 class PayoffEstimate:
     """Monte Carlo estimate of J under a constant control.
 
-    mean/std_error are computed over the valid paths only; n_valid is the
-    count of paths actually used.
+    mean/std_error are computed over the valid paths only: both are NaN
+    when invalid_fraction is 1, and std_error is 0 with one valid path.
     """
 
     mean: float
     std_error: float
-    n_valid: int
     clamp_fraction: float
     invalid_fraction: float
 
     def __post_init__(self) -> None:
-        if self.n_valid >= 2 and not self.std_error >= 0.0:
+        if not math.isnan(self.mean) and not self.std_error >= 0.0:
             raise ValueError("std_error must be nonnegative")
         if not (0.0 <= self.clamp_fraction <= 1.0):
             raise ValueError("clamp_fraction must lie in [0, 1]")
@@ -154,7 +153,6 @@ def _estimate(
     return PayoffEstimate(
         mean=mean,
         std_error=std_error,
-        n_valid=n_valid,
         clamp_fraction=float(np.count_nonzero(clamp_flags)) / n_paths,
         invalid_fraction=float(np.count_nonzero(invalid)) / n_paths,
     )

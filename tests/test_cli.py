@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 from functools import reduce
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stubborn
-from stubborn import control, dynamics
+from stubborn import checks, cli, control, dynamics
 from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
 from stubborn.payoff import expected_payoff
@@ -324,7 +325,7 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(tmp_path / "missing.json"),
                  "--out-dir", str(tmp_path / "bad")]) == 2
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
-    assert bad["diagnostics"] == {"worker_count": 3}
+    assert bad["diagnostics"] == {}  # the worker count is resolved only once the config parses
     assert bad["timings"] == {"compute_s": 0.0, "write_s": 0.0}
 
 
@@ -451,6 +452,24 @@ def test_density_kernel_step_with_gradient(tmp_path):
     psi = [float(ln.split(",")[2]) for ln in lines[1 + 33:]]
     assert all(v >= 0.0 for v in psi)
     assert sum(psi) > 0.0
+
+
+def test_report_is_strict_json_when_a_suite_value_is_not_finite(tmp_path, monkeypatch, capsys):
+    # an empty root scan makes max_closed_vs_scan infinite: the suite fails,
+    # and report.json still parses with non-finite constants rejected
+    monkeypatch.setattr(checks, "root_scan", lambda *args, **kwargs: [])
+    doc = dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02))
+    out = tmp_path / "out"
+    assert main(["validate", "--config", write_config(tmp_path, doc), "--out-dir", str(out)]) == 1
+    assert "FAIL: root_residuals" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    suite = report["suites"]["root_residuals"]
+    assert suite["passed"] is False and suite["max_closed_vs_scan"] is None
+    assert report["passed"] is False
 
 
 def test_validate_passes_and_reproduces(tmp_path):
@@ -723,6 +742,76 @@ def test_every_public_name_is_reached_or_is_an_oracle():
     assert not unreached, f"public names that no package code references: {unreached}"
     stale = [name for name in oracles if name in used or name not in stubborn.__all__]
     assert not stale, f"ORACLES entries that are referenced or not public: {stale}"
+
+
+# record fields that no package code reads, each with the reason it stays
+UNREAD_FIELDS = (
+    ("ClosedFormCoeffs", "A2",
+     "the paper's printed coefficient: k4 is built from it, and the tests hold it to the paper"),
+)
+
+
+def _records_echoed_by_asdict(cls, found=None):
+    """Names of cls and of every record its fields hold: what `dataclasses.asdict` writes."""
+    found = set() if found is None else found
+    if dataclasses.is_dataclass(cls) and cls.__name__ not in found:
+        found.add(cls.__name__)
+        for hint in typing.get_type_hints(cls).values():
+            for held in (hint, *typing.get_args(hint)):
+                _records_echoed_by_asdict(held, found)
+    return found
+
+
+def _attribute_reads(tree):
+    """(attribute, names of the enclosing defs and classes, outermost first) per read in tree."""
+    reads = []
+    stack = [(tree, ())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing + (node.name,)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((node.attr, enclosing))
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+    return reads
+
+
+def _dataclass_fields(tree):
+    """(class, field) for each annotated field of each @dataclass class in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def _is_read(reads, cls, field):
+    """True when some read of .field lies outside cls, or in a method of cls but __post_init__."""
+    for attr, enclosing in reads:
+        if attr == field:
+            if cls not in enclosing:
+                return True
+            method = enclosing[enclosing.index(cls) + 1:][:1]
+            if method and method != ("__post_init__",):
+                return True
+    return False
+
+
+def test_every_record_field_is_read_or_listed():
+    # a stored value that no caller reads is work and API nobody needs; the
+    # config records are exempt, since the manifest echoes them whole
+    trees = [ast.parse(source.read_text(encoding="utf-8"))
+             for source in sorted(Path(stubborn.__file__).resolve().parent.glob("*.py"))]
+    reads = [read for tree in trees for read in _attribute_reads(tree)]
+    echoed = _records_echoed_by_asdict(cli.RunConfig)
+    unread = {(cls, field) for tree in trees for cls, field in _dataclass_fields(tree)
+              if cls not in echoed and not _is_read(reads, cls, field)}
+    listed = {(cls, field) for cls, field, _reason in UNREAD_FIELDS}
+    assert not unread - listed, f"record fields that no package code reads: {sorted(unread - listed)}"
+    assert not listed - unread, f"UNREAD_FIELDS entries that are read: {sorted(listed - unread)}"
 
 
 def test_pyproject_runtime_dependencies_are_numpy_only():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stubborn import dynamics
+from stubborn import checks, dynamics, lagrangian
 from stubborn.control import (
     X_MIN,
     ClosedFormCoeffs,
@@ -122,7 +122,7 @@ def test_residual_sign_flip_matches_hand_root():
     assert r_lo * r_hi < 0.0
     roots = root_scan(st, model, p, NO_LAG, PP_MODES, grid_n=64)
     assert len(roots) == 1
-    assert roots[0][0] == pytest.approx(u_hand, abs=1e-8)
+    assert roots[0] == pytest.approx(u_hand, abs=1e-8)
 
 
 def test_coefficients_reference_values():
@@ -289,6 +289,39 @@ def test_quartic_roots_satisfy_polynomial():
             assert abs(cf.polynomial_residual(z)) <= 1e-9 * scale
 
 
+def test_root_suite_draws_no_root_below_the_scan_grid():
+    # check seed 1351 once drew a scenario whose only root, u = 0.001895,
+    # lies below the scan's first grid point 1/512: the scan came back empty
+    # and the suite failed on correct code
+    suite = checks.check_root_residuals(seed=1351)
+    assert suite["passed"], suite
+    assert suite["max_closed_vs_scan"] <= checks.AGREE_TOL
+
+
+def test_stationarity_route_evaluates_no_f(monkeypatch):
+    # the condition needs the partials only: neither an optimize row nor a
+    # root scan computes f or its terminal constant
+    calls = []
+    for name in ("_f_core", "default_terminal_constant"):
+        original = getattr(lagrangian, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, name, spy)
+    p = pay(theta=0.2, alpha1=0.05, alpha2=0.05, alpha3=0.0, c=2.0)
+    model = ModelParams(a=0.6, sigma1=0.3, sigma2=0.4)
+    results, _n_ranked = optimal_stubbornness_row(0.0, [0.5, 1.2, 2.0], model, p, NO_LAG,
+                                                  PP_MODES, 0.01, 50, 0)
+    assert all(0.0 < r.u_star < 1.0 for r in results)
+    assert root_scan(State(s=0.0, x=1.2), model, p, NO_LAG, PP_MODES)
+    assert calls == []
+    # the spies are live: derivatives() returns f, so it calls both
+    derivatives(State(s=0.0, x=1.2), 0.3, model, p, NO_LAG)
+    assert calls == ["_f_core", "default_terminal_constant"]
+
+
 def _coefficient():
     """0, or a magnitude in [0.01, 10] of either sign."""
     signed = st.builds(lambda m, sign: sign * m, st.floats(0.01, 10.0), st.sampled_from([-1.0, 1.0]))
@@ -360,7 +393,7 @@ def test_optimal_stubbornness_matches_scan():
     res = optimal_stubbornness(st, model, p, NO_LAG, PP_MODES)
     assert 0.0 < res.u_star < 1.0
     scan = root_scan(st, model, p, NO_LAG, PP_MODES)
-    nearest = min(scan, key=lambda pair: abs(pair[0] - res.u_star))[0]
+    nearest = min(scan, key=lambda u: abs(u - res.u_star))
     assert abs(res.u_star - nearest) <= 1e-3
     assert res.certificate <= 1e-6
 
@@ -482,8 +515,8 @@ def test_scan_finds_both_roots_even_on_coarse_grid():
     p = pay(theta=0.1, alpha1=5.0, alpha2=5.0, alpha3=4.9, c=1.0)
     model = ModelParams(a=0.3, sigma1=1.7, sigma2=2.0)
     st = State(s=0.0, x=0.5)
-    coarse = [u for u, _ in root_scan(st, model, p, NO_LAG, PP_MODES, grid_n=10)]
-    fine = [u for u, _ in root_scan(st, model, p, NO_LAG, PP_MODES, grid_n=1000)]
+    coarse = root_scan(st, model, p, NO_LAG, PP_MODES, grid_n=10)
+    fine = root_scan(st, model, p, NO_LAG, PP_MODES, grid_n=1000)
     assert len(coarse) == len(fine) == 2
     for a, b in zip(coarse, fine):
         assert abs(a - b) <= 1e-8

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stubborn import checks
+from stubborn.density import model_fields
 from stubborn.lagrangian import (
     SingularCostError,
     assemble_f_from_generator,
@@ -14,7 +16,9 @@ from stubborn.lagrangian import (
     hand_coded_f,
     integrating_factor,
 )
-from stubborn.model import LagrangeParams, ModelParams, PayoffParams, State
+from stubborn.model import (
+    DERIVATIVE_MODES, LagrangeParams, ModeFlags, ModelParams, PayoffParams, State,
+)
 
 NO_LAG = LagrangeParams()
 
@@ -91,6 +95,33 @@ def test_generator_assembly_matches_hand_coded():
         f_gen = assemble_f_from_generator(st, u, model, p, lag, Mbar=0.7)
         f_hand = hand_coded_f(st, u, model, p, lag, Mbar=0.7)
         assert f_gen == pytest.approx(f_hand, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=st.floats(0.0, 2.0),
+    x=st.floats(1e-3, 10.0),
+    u=st.floats(0.0, 1.0),
+    a=st.floats(0.0, 3.0),
+    sigma1=st.floats(0.0, 1.0),
+    sigma2=st.floats(0.0, 1.5),
+    l0=st.floats(-1.0, 1.0),
+    l1=st.floats(-1.0, 1.0),
+    mode=st.sampled_from(DERIVATIVE_MODES),
+    Mbar=st.none() | st.floats(-2.0, 2.0),
+)
+def test_f_is_one_value_on_every_route(s, x, u, a, sigma1, sigma2, l0, l1, mode, Mbar):
+    # f has one home: the bundle, the density fields and the hand-coded
+    # oracle agree bit for bit, with Mbar given or left to its default
+    model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
+    p = pay(alpha1=0.2, alpha2=0.1, alpha3=0.05, c=1.3, r=0.6, mu_bar=0.1, horizon=1.5)
+    lag = LagrangeParams(l0=l0, l1=l1)
+    state = State(s=s, x=x)
+    f_bundle = derivatives(state, u, model, p, lag, mode=mode, Mbar=Mbar).f
+    f_grid, _f_x, _f_xx = model_fields(u, model, p, lag, ModeFlags(derivative_mode=mode),
+                                       Mbar)(s, np.array([x]))
+    f_hand = hand_coded_f(state, u, model, p, lag, Mbar=Mbar)
+    assert f_bundle == f_grid[0] == f_hand
 
 
 def test_derivatives_vanish_at_zero_control():

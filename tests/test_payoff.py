@@ -102,12 +102,11 @@ def test_invalid_paths_reported():
     p = pay()
     est = expected_payoff(0.01, 1.0, model, p, 0.05, 2000, seed=17)
     assert est.invalid_fraction > 0.5
-    assert est.n_valid == round(2000 * (1.0 - est.invalid_fraction))
     assert math.isfinite(est.mean)
     # with u = 0 paths still clamp, but the cost stays finite: none is invalid
     free = expected_payoff(0.01, 0.0, model, p, 0.05, 2000, seed=17)
     assert free.clamp_fraction > 0.5
-    assert free.invalid_fraction == 0.0 and free.n_valid == 2000
+    assert free.invalid_fraction == 0.0
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
