@@ -13,20 +13,22 @@ its writing time, summed as the manifest's `timings.write_s` (the rest is
 the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
-error.  STUBBORN_THREADS caps the Monte Carlo worker count; outputs do not
+error.  STUBBORN_THREADS caps the Monte Carlo worker count and the forked
+processes that format paths.csv in fixed chunks of paths; outputs do not
 depend on it, and a value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
 import sys
 import time
 import typing
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -246,6 +248,60 @@ def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> float:
     return time.perf_counter() - started
 
 
+# Paths per chunk of paths.csv lines; the chunks depend only on n_paths.
+# Chunks of 100 to 500 paths formatted the perfbench path_dump paths in the
+# same time, but each chunk's text passes through the command's process a
+# few times over, and at 500 paths that raised its peak RSS by 12%.
+_BLOCK_PATHS = 100
+
+
+def _path_block(first: int, states: np.ndarray, clamped: np.ndarray, steps: list[str]) -> str:
+    """The newline-joined paths.csv lines of paths first, first + 1, ...
+    (the rows of states and clamped): each from a Python float (repr is
+    _fmt there) after its step's ",k,s," prefix in steps."""
+    flags = (",0", ",1")
+    return "\n".join([
+        pid + step + repr(x) + flags[hit]
+        for pid, xs, hits in zip(
+            map(str, range(first, first + len(states))), states.tolist(), clamped.tolist()
+        )
+        for step, x, hit in zip(steps, xs, hits)
+    ])
+
+
+def _fork_pool(workers: int):
+    """A pool of `workers` forked processes, or None for one worker or where
+    the platform has no fork (spawned workers would import numpy afresh,
+    which costs about what they would save).  simulate_batch has joined its
+    threads before this runs, so no thread is copied mid-lock."""
+    if workers < 2:
+        return None
+    import multiprocessing  # here, not at module level: `import stubborn.cli` stays lean
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _pooled_blocks(pool, chunks: list[tuple], window: int) -> Iterator[str]:
+    """_path_block of each chunk on pool, yielded in order, with window chunks
+    queued on the pool at a time.  The first window is submitted (and the
+    pool's workers started) before this returns."""
+    pending = collections.deque(pool.submit(_path_block, *chunk) for chunk in chunks[:window])
+
+    def in_order() -> Iterator[str]:
+        for chunk in chunks[window:]:
+            block = pending.popleft().result()
+            pending.append(pool.submit(_path_block, *chunk))
+            yield block
+        while pending:
+            yield pending.popleft().result()
+
+    return in_order()
+
+
 def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     states, clamped = dynamics.simulate_batch(
@@ -257,22 +313,32 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
         num.seed,
         num.n_paths,
     )
-    # one block of lines per path from its Python floats (repr is _fmt there);
-    # the ",k,s," prefixes are formatted once
+    # the ",k,s," prefixes are formatted once; the lines in chunks of
+    # _BLOCK_PATHS paths, on worker processes when there are two or more
+    # chunks and workers (repr holds the GIL, so threads would not help)
     steps = [f",{k},{_fmt(k * num.dt)}," for k in range(states.shape[1])]
-    flags = (",0", ",1")
-    rows = (
-        "\n".join([pid + step + repr(x) + flags[hit]
-                   for step, x, hit in zip(steps, xs.tolist(), hits.tolist())])
-        for pid, xs, hits in zip(map(str, range(states.shape[0])), states, clamped)
-    )
+    size = _BLOCK_PATHS
+    chunks = [(first, states[first:first + size], clamped[first:first + size], steps)
+              for first in range(0, num.n_paths, size)]
+    workers = min(dynamics._worker_count(), len(chunks))
+    pool = _fork_pool(workers)
     out = out_dir / "paths.csv"
-    written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", rows)}
+    try:
+        if pool is None:
+            workers = 1
+            blocks = map(_path_block, *zip(*chunks))
+        else:
+            blocks = _pooled_blocks(pool, chunks, 2 * workers)
+        written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", blocks)}
+    finally:
+        if pool is not None:  # no worker outlives the command, also on error
+            pool.shutdown(cancel_futures=True)
     # the share of paths clamped at least once, as sweep's clamp_fraction
     clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
     return written, True, {
         "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
         "draw_steps": dynamics._draw_steps(dynamics._block_paths(1)),
+        "write_workers": workers, "write_chunk_paths": size,
     }
 
 

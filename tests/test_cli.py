@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -176,16 +177,20 @@ def test_simulate_row_count_and_manifest(tmp_path):
     dt=st.sampled_from([0.05, 0.1, 0.2, 0.25]),
     # 1e-5 prints in exponent form; 0.05 reaches the clamp
     x0=st.sampled_from([0.0, 1e-5, 0.05, 1.0, 3.0]),
-    threads=st.sampled_from(["1", "2"]),
+    threads=st.sampled_from(["1", "2", "3"]),
+    # paths per chunk: small chunks put uneven chunks on the worker processes
+    chunk=st.integers(1, 7),
     seed=st.integers(0, 2**31),
 )
-def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, seed):
-    # paths.csv is formatted a path at a time; the reference formats one
-    # row at a time from numpy scalars (shortest round-trip repr), and the
-    # bytes must agree
+def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, chunk, seed):
+    # paths.csv is formatted a chunk of paths at a time, on worker processes
+    # when there are two or more chunks and threads; the reference formats
+    # one row at a time from numpy scalars (shortest round-trip repr), and
+    # the bytes must agree
     doc = dict(MINIMAL, numerics=small_numerics(n_paths=n_paths, dt=dt, x0=x0, seed=seed))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setenv("STUBBORN_THREADS", threads)
+        mp.setattr(cli, "_BLOCK_PATHS", chunk)
         out = Path(tmp) / "out"
         assert main(["simulate", "--config", write_config(Path(tmp), doc),
                      "--out-dir", str(out)]) == 0
@@ -199,6 +204,34 @@ def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, seed):
         for k in range(states.shape[1])
     ]
     assert written == ("path_id,step,s,x,clamped\n" + "".join(rows)).encode()
+
+
+_PATH_BLOCK = cli._path_block
+
+
+def _block_failing_at_path_3(first, states, clamped, steps):
+    """cli._path_block, but raising for the chunk that starts at path 3."""
+    if first == 3:
+        raise RuntimeError("planted failure in the chunk at path 3")
+    return _PATH_BLOCK(first, states, clamped, steps)
+
+
+def test_worker_error_fails_simulate_and_leaves_no_worker(tmp_path, monkeypatch):
+    monkeypatch.setenv("STUBBORN_THREADS", "2")
+    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)  # 16 paths in 6 chunks, on 2 workers
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics()))
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "ok")]) == 0
+    ok = json.loads((tmp_path / "ok" / "manifest.json").read_text())
+    assert ok["diagnostics"]["write_workers"] == 2
+    assert multiprocessing.active_children() == []
+    # fork workers inherit the patched module, so one chunk's worker raises
+    monkeypatch.setattr(cli, "_path_block", _block_failing_at_path_3)
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "bad")]) == 1
+    bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert bad["status"] == "error"
+    assert bad["files"] == []
+    assert "planted failure in the chunk at path 3" in bad["error"]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_row_contract(tmp_path):
@@ -277,6 +310,17 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     # steps of noise per draw: at most 32768 normals per call for a full block
     assert sim["draw_steps"] == low["draw_steps"] == 2
     assert sweep["draw_steps"] == 11
+    # paths.csv: one chunk of 16 paths is formatted inline; 4-path chunks on
+    # 3 worker processes, as STUBBORN_THREADS allows
+    assert sim["write_workers"] == low["write_workers"] == 1
+    assert sim["write_chunk_paths"] == low["write_chunk_paths"] == 100
+    monkeypatch.setattr(cli, "_BLOCK_PATHS", 4)
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "chunked")]) == 0
+    chunked = json.loads((tmp_path / "chunked" / "manifest.json").read_text())["diagnostics"]
+    assert chunked["write_workers"] == 3
+    assert chunked["write_chunk_paths"] == 4
+    assert (tmp_path / "chunked" / "paths.csv").read_bytes() == \
+        (tmp_path / "simulate" / "paths.csv").read_bytes()
     wide_doc = dict(MINIMAL, numerics=small_numerics(dt=0.25, n_paths=32768, u_grid_n=21))
     assert main(["sweep", "--config", write_config(tmp_path, wide_doc, "wide.json"),
                  "--out-dir", str(tmp_path / "wide")]) == 0
@@ -645,6 +689,19 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert probe.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # simulate imports its worker pool only when it uses one, so the import
+    # that perfbench's setup_s times does not pay for it
+    src = str(Path(stubborn.__file__).resolve().parent.parent)
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stubborn.cli; "
+         "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout.split() == ["False", "False"]
 
 
 def test_package_imports_only_stdlib_and_numpy():
