@@ -14,21 +14,21 @@ the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
 error.  STUBBORN_THREADS caps the Monte Carlo worker count and the forked
-processes that format paths.csv in fixed chunks of paths; outputs do not
-depend on it, and a value that is not a positive integer is a usage error.
+processes that format paths.csv in fixed chunks of paths, written in path
+order as the pool's map returns them; outputs do not depend on it, and a
+value that is not a positive integer is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import json
 import math
 import sys
 import time
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -244,14 +244,15 @@ def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> float:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(row)
+            fh.write("\n")
     return time.perf_counter() - started
 
 
 # Paths per chunk of paths.csv lines; the chunks depend only on n_paths.
 # Chunks of 100 to 500 paths formatted the perfbench path_dump paths in the
 # same time, but each chunk's text passes through the command's process a
-# few times over, and at 500 paths that raised its peak RSS by 12%.
+# few times over, and at 500 paths that raised its peak RSS by 8%.
 _BLOCK_PATHS = 100
 
 
@@ -267,39 +268,6 @@ def _path_block(first: int, states: np.ndarray, clamped: np.ndarray, steps: list
         )
         for step, x, hit in zip(steps, xs, hits)
     ])
-
-
-def _fork_pool(workers: int):
-    """A pool of `workers` forked processes, or None for one worker or where
-    the platform has no fork (spawned workers would import numpy afresh,
-    which costs about what they would save).  simulate_batch has joined its
-    threads before this runs, so no thread is copied mid-lock."""
-    if workers < 2:
-        return None
-    import multiprocessing  # here, not at module level: `import stubborn.cli` stays lean
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-
-def _pooled_blocks(pool, chunks: list[tuple], window: int) -> Iterator[str]:
-    """_path_block of each chunk on pool, yielded in order, with window chunks
-    queued on the pool at a time.  The first window is submitted (and the
-    pool's workers started) before this returns."""
-    pending = collections.deque(pool.submit(_path_block, *chunk) for chunk in chunks[:window])
-
-    def in_order() -> Iterator[str]:
-        for chunk in chunks[window:]:
-            block = pending.popleft().result()
-            pending.append(pool.submit(_path_block, *chunk))
-            yield block
-        while pending:
-            yield pending.popleft().result()
-
-    return in_order()
 
 
 def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
@@ -321,14 +289,23 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     chunks = [(first, states[first:first + size], clamped[first:first + size], steps)
               for first in range(0, num.n_paths, size)]
     workers = min(dynamics._worker_count(), len(chunks))
-    pool = _fork_pool(workers)
+    ordered_map, pool = map, None
+    if workers > 1:
+        import multiprocessing  # here, not at module level: `import stubborn.cli` stays lean
+
+        # forked, not spawned: spawned workers would import numpy afresh,
+        # which costs about what they would save
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            ordered_map = pool.map
     out = out_dir / "paths.csv"
     try:
-        if pool is None:
-            workers = 1
-            blocks = map(_path_block, *zip(*chunks))
-        else:
-            blocks = _pooled_blocks(pool, chunks, 2 * workers)
+        # the pool's map submits every chunk when called, so its workers fork
+        # before paths.csv is opened, and after simulate_batch has joined its
+        # threads, so no thread is copied mid-lock
+        blocks = ordered_map(_path_block, *zip(*chunks))
         written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", blocks)}
     finally:
         if pool is not None:  # no worker outlives the command, also on error
@@ -338,7 +315,7 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     return written, True, {
         "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
         "draw_steps": dynamics._draw_steps(dynamics._block_paths(1)),
-        "write_workers": workers, "write_chunk_paths": size,
+        "write_workers": 1 if pool is None else workers, "write_chunk_paths": size,
     }
 
 

@@ -190,23 +190,22 @@ def _em_steps(
     seed: int,
     first_path: int,
     n_paths: int,
-    s0: float = 0.0,
     clamp: bool = True,
 ) -> Iterator[tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Step paths [first_path, first_path + n_paths) from x0 at time s0.
+    """Step paths [first_path, first_path + n_paths) from x0.
 
     Row i of the (len(controls), n_paths) state block applies the constant
     control controls[i] from x0, or from x0[i] when x0 holds one start
     state per row; every row sees the same noise draw at each step.  Yields
-    (s_j, x_j, u, x_next, hit_j, sqrt_x_j) for j = 0..n_steps-1.  u is the
-    (len(controls), 1) column of the controls clipped to [0, 1], one array
-    for every step; x_j, x_next, hit_j and sqrt_x_j have the block's shape,
-    hit_j marks raw updates below 0 and sqrt_x_j is the sqrt(x_j) of the
-    drift.  The noise step index j counts from 0 whatever s0 is.  With
-    clamp=False x_next is the raw pre-clamp recursion (moment-law
-    validation).  The yielded arrays are read-only to the caller.  Later
-    steps reuse their memory, so a caller copies what it keeps past the
-    next step; the last x_next stays as it is.
+    (j * dt, x_j, u, x_next, hit_j, sqrt_x_j) for j = 0..n_steps-1: j * dt
+    is the time since the start, to which a caller starting at s adds s.  u
+    is the (len(controls), 1) column of the controls clipped to [0, 1], one
+    array for every step; x_j, x_next, hit_j and sqrt_x_j have the block's
+    shape, hit_j marks raw updates below 0 and sqrt_x_j is the sqrt(x_j) of
+    the drift.  With clamp=False x_next is the raw pre-clamp recursion
+    (moment-law validation).  The yielded arrays are read-only to the
+    caller.  Later steps reuse their memory, so a caller copies what it
+    keeps past the next step; the last x_next stays as it is.
     """
     u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
     u.flags.writeable = False
@@ -245,7 +244,7 @@ def _em_steps(
         np.less(x_next, 0.0, out=hit)
         if clamp:
             np.maximum(x_next, 0.0, out=x_next)
-        yield s0 + j * dt, x, u, x_next, hit, sq
+        yield j * dt, x, u, x_next, hit, sq
         x, x_next = x_next, x
 
 

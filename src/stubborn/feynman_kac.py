@@ -61,10 +61,10 @@ def fk_estimate(
         m = hi - lo
         disc = np.ones(m)
         theta_acc = np.zeros(m)
-        for s_j, xs, u, x_next, _hit, _sq in dynamics._em_steps(
-            x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m, s0=s
+        for t_j, xs, u, x_next, _hit, _sq in dynamics._em_steps(
+            x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m
         ):
-            xs, u = xs[0], u[0]
+            s_j, xs, u = s + t_j, xs[0], u[0]
             theta_acc += np.broadcast_to(problem.Theta(s_j, xs, u), (m,)) * disc * dt
             disc = disc * np.exp(-np.broadcast_to(problem.V(s_j, xs, u), (m,)) * dt)
         totals[lo:hi] = (

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import typing
 from functools import reduce
 from pathlib import Path
@@ -171,6 +172,20 @@ def test_simulate_row_count_and_manifest(tmp_path):
     assert manifest["seed"] == 3
 
 
+def _paths_csv_by_row_formula(n_paths, dt, x0, seed):
+    """The paths.csv bytes of a MINIMAL run, formatted one row at a time from
+    numpy scalars (shortest round-trip repr)."""
+    states, clamped = dynamics.simulate_batch(
+        x0, 0.0, ModelParams(**MINIMAL["model"]), dt, 1.0, seed, n_paths
+    )
+    rows = [
+        f"{pid},{k},{float(k * dt)!r},{float(states[pid, k])!r},{1 if clamped[pid, k] else 0}\n"
+        for pid in range(states.shape[0])
+        for k in range(states.shape[1])
+    ]
+    return ("path_id,step,s,x,clamped\n" + "".join(rows)).encode()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_paths=st.integers(1, 40),
@@ -184,9 +199,8 @@ def test_simulate_row_count_and_manifest(tmp_path):
 )
 def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, chunk, seed):
     # paths.csv is formatted a chunk of paths at a time, on worker processes
-    # when there are two or more chunks and threads; the reference formats
-    # one row at a time from numpy scalars (shortest round-trip repr), and
-    # the bytes must agree
+    # when there are two or more chunks and threads; the bytes must agree
+    # with the row formula
     doc = dict(MINIMAL, numerics=small_numerics(n_paths=n_paths, dt=dt, x0=x0, seed=seed))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setenv("STUBBORN_THREADS", threads)
@@ -195,18 +209,10 @@ def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, chunk, seed):
         assert main(["simulate", "--config", write_config(Path(tmp), doc),
                      "--out-dir", str(out)]) == 0
         written = (out / "paths.csv").read_bytes()
-    states, clamped = dynamics.simulate_batch(
-        x0, 0.0, ModelParams(**MINIMAL["model"]), dt, 1.0, seed, n_paths
-    )
-    rows = [
-        f"{pid},{k},{float(k * dt)!r},{float(states[pid, k])!r},{1 if clamped[pid, k] else 0}\n"
-        for pid in range(states.shape[0])
-        for k in range(states.shape[1])
-    ]
-    assert written == ("path_id,step,s,x,clamped\n" + "".join(rows)).encode()
+    assert written == _paths_csv_by_row_formula(n_paths, dt, x0, seed)
 
 
-_PATH_BLOCK = cli._path_block
+_PATH_BLOCK, _WRITE_CSV = cli._path_block, cli._write_csv
 
 
 def _block_failing_at_path_3(first, states, clamped, steps):
@@ -216,7 +222,32 @@ def _block_failing_at_path_3(first, states, clamped, steps):
     return _PATH_BLOCK(first, states, clamped, steps)
 
 
-def test_worker_error_fails_simulate_and_leaves_no_worker(tmp_path, monkeypatch):
+def _write_csv_failing_after_one_block(path, header, rows):
+    """cli._write_csv, but failing as a full disk would once it has written
+    the first row (for paths.csv, the first chunk)."""
+    def first_then_fail():
+        yield next(iter(rows))
+        raise OSError("planted failure after one block")
+
+    return _WRITE_CSV(path, header, first_then_fail())
+
+
+def _block_late_at_path_0(first, states, clamped, steps):
+    """cli._path_block, but finishing the chunk at path 0 about 0.2 s late."""
+    if first == 0:
+        time.sleep(0.2)
+    return _PATH_BLOCK(first, states, clamped, steps)
+
+
+@pytest.mark.parametrize("target, planted, message", [
+    # fork workers inherit the patched module, so one chunk's worker raises
+    ("_path_block", _block_failing_at_path_3, "planted failure in the chunk at path 3"),
+    # the command's own process raises while the workers still hold chunks
+    ("_write_csv", _write_csv_failing_after_one_block, "planted failure after one block"),
+], ids=["worker", "writer"])
+def test_worker_error_fails_simulate_and_leaves_no_worker(
+    tmp_path, monkeypatch, target, planted, message
+):
     monkeypatch.setenv("STUBBORN_THREADS", "2")
     monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)  # 16 paths in 6 chunks, on 2 workers
     cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics()))
@@ -224,14 +255,27 @@ def test_worker_error_fails_simulate_and_leaves_no_worker(tmp_path, monkeypatch)
     ok = json.loads((tmp_path / "ok" / "manifest.json").read_text())
     assert ok["diagnostics"]["write_workers"] == 2
     assert multiprocessing.active_children() == []
-    # fork workers inherit the patched module, so one chunk's worker raises
-    monkeypatch.setattr(cli, "_path_block", _block_failing_at_path_3)
+    monkeypatch.setattr(cli, target, planted)
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "bad")]) == 1
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert bad["status"] == "error"
     assert bad["files"] == []
-    assert "planted failure in the chunk at path 3" in bad["error"]
+    assert message in bad["error"]
     assert multiprocessing.active_children() == []
+
+
+def test_paths_csv_keeps_path_order_when_chunks_finish_out_of_order(tmp_path, monkeypatch):
+    # the chunk at path 0 finishes last of 6, on 2 workers; the rows must
+    # still come in path order
+    monkeypatch.setenv("STUBBORN_THREADS", "2")
+    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)
+    monkeypatch.setattr(cli, "_path_block", _block_late_at_path_0)
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(seed=7)))
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["write_workers"] == 2
+    assert (tmp_path / "out" / "paths.csv").read_bytes() == \
+        _paths_csv_by_row_formula(16, 0.05, 1.0, 7)
 
 
 def test_sweep_row_contract(tmp_path):
