@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -138,6 +139,8 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
         raise ConfigError("numerics.density.u must lie in [0, 1]")
     if dens.step not in ("schrodinger", "kernel"):
         raise ConfigError("numerics.density.step must be 'schrodinger' or 'kernel'")
+    if dens.gradient_correction and dens.step != "kernel":
+        raise ConfigError("numerics.density.gradient_correction requires step 'kernel'")
 
 
 def _value(kind, value, where: str):
@@ -250,9 +253,11 @@ def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> float:
 
 
 # Paths per chunk of paths.csv lines; the chunks depend only on n_paths.
-# Chunks of 100 to 500 paths formatted the perfbench path_dump paths in the
-# same time, but each chunk's text passes through the command's process a
-# few times over, and at 500 paths that raised its peak RSS by 8%.
+# Chunks of 500 paths took the time of chunks of 100 on the perfbench
+# path_dump config (wall time 2% lower in the median, lower in only 4 of 10
+# alternated pairs on 2 cores), but each chunk's text passes through the
+# command's process a few times over, and at 500 paths that raised its
+# peak RSS by 8%.
 _BLOCK_PATHS = 100
 
 
@@ -416,20 +421,14 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], b
         for xi, pi in zip(g.x_grid, g.psi):
             rows.append(f"{_fmt(g.s)},{_fmt(xi)},{_fmt(pi)}")
 
+    # looked up on the module when the command runs, so a wrapper installed
+    # there (perfbench's tracer) sees every step
+    step = density.schrodinger_step
+    if dens.step == "kernel":
+        step = functools.partial(density.kernel_step, gradient_correction=dens.gradient_correction)
     snapshot(grid)
     for step_idx in range(1, dens.n_steps + 1):
-        if dens.step == "kernel":
-            grid = density.kernel_step(
-                grid,
-                dens.eps,
-                fields,
-                kernel_exponent_mode=config.modes.kernel_exponent_mode,
-                gradient_correction=dens.gradient_correction,
-            )
-        else:
-            grid = density.schrodinger_step(
-                grid, dens.eps, fields, kernel_exponent_mode=config.modes.kernel_exponent_mode
-            )
+        grid = step(grid, dens.eps, fields, kernel_exponent_mode=config.modes.kernel_exponent_mode)
         if grid.warning is not None:
             warnings.append({"step": step_idx, "warning": grid.warning})
         if step_idx % dens.snapshot_stride == 0 or step_idx == dens.n_steps:

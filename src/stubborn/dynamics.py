@@ -159,8 +159,10 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
 
 def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
     """a*sqrt(x) - sigma2*x - u for a float or an array x."""
-    # max(x, 0) keeps the sqrt defined when the pre-clamp diagnostic mode
-    # lets states go negative; clamped simulation never sees x < 0.
+    # Read by the f-assembly oracle, the Feynman-Kac stencil and the tests'
+    # written-out Euler-Maruyama steps; `_em_steps` inlines its own drift.
+    # max(x, 0) keeps the sqrt defined at the negative states that the raw
+    # (clamp=False) recursion reaches in those tests.
     return model.a * np.sqrt(np.maximum(x, 0.0)) - model.sigma2 * x - u
 
 

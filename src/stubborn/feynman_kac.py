@@ -16,7 +16,6 @@ with the stencil weights exposed for exact Monte Carlo error propagation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .model import ModelParams, State
+from .payoff import _mean_and_error
 
 ScalarField = Callable[[float, np.ndarray, np.ndarray], np.ndarray | float]
 TerminalField = Callable[[float, np.ndarray], np.ndarray | float]
@@ -65,17 +65,12 @@ def fk_estimate(
             x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m
         ):
             s_j, xs, u = s + t_j, xs[0], u[0]
-            theta_acc += np.broadcast_to(problem.Theta(s_j, xs, u), (m,)) * disc * dt
-            disc = disc * np.exp(-np.broadcast_to(problem.V(s_j, xs, u), (m,)) * dt)
-        totals[lo:hi] = (
-            np.broadcast_to(problem.T_term(problem.horizon, x_next[0]), (m,)) * disc
-            + theta_acc
-        )
+            theta_acc += problem.Theta(s_j, xs, u) * disc * dt
+            disc = disc * np.exp(-problem.V(s_j, xs, u) * dt)
+        totals[lo:hi] = problem.T_term(problem.horizon, x_next[0]) * disc + theta_acc
 
     dynamics._for_each_chunk(n_paths, work)
-    mean = float(totals.mean())
-    std_error = float(totals.std(ddof=1) / math.sqrt(n_paths)) if n_paths >= 2 else 0.0
-    return mean, std_error
+    return _mean_and_error(totals)
 
 
 def pde_stencil(

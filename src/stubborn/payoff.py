@@ -140,22 +140,21 @@ def _estimate(
 ) -> PayoffEstimate:
     """Reduce one control's per-path totals and flags, in path order."""
     n_paths = len(totals)
-    valid = ~invalid
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid == 0:
-        mean, std_error = math.nan, math.nan
-    else:
-        sample = totals[valid]
-        mean = float(sample.mean())
-        std_error = (
-            float(sample.std(ddof=1) / math.sqrt(n_valid)) if n_valid >= 2 else 0.0
-        )
+    valid = totals[~invalid]
+    mean, std_error = _mean_and_error(valid) if valid.size else (math.nan, math.nan)
     return PayoffEstimate(
         mean=mean,
         std_error=std_error,
         clamp_fraction=float(np.count_nonzero(clamp_flags)) / n_paths,
         invalid_fraction=float(np.count_nonzero(invalid)) / n_paths,
     )
+
+
+def _mean_and_error(sample: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a nonempty sample; the error is 0 for one value."""
+    n = len(sample)
+    std_error = float(sample.std(ddof=1) / math.sqrt(n)) if n >= 2 else 0.0
+    return float(sample.mean()), std_error
 
 
 def payoff_stationarity(

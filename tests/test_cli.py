@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import stubborn
-from stubborn import checks, cli, control, dynamics
+from stubborn import checks, cli, control, density, dynamics
 from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
 from stubborn.payoff import expected_payoff
@@ -542,6 +542,48 @@ def test_density_kernel_step_with_gradient(tmp_path):
     assert sum(psi) > 0.0
 
 
+def _density_csv_by_direct_loop(config):
+    """density.csv from the density module's own updates, called one by one
+    from the command's start grid with the config's options."""
+    num, dens = config.numerics, config.numerics.density
+    xg, mode = num.x_grid, config.modes.kernel_exponent_mode
+    grid = density.gaussian_density_grid(
+        np.linspace(xg.min, xg.max, xg.n),
+        center=0.5 * (xg.min + xg.max), width=(xg.max - xg.min) / 8.0,
+    )
+    fields = density.model_fields(dens.u, config.model, config.payoff, config.lagrange,
+                                  config.modes)
+    lines = ["s,x,psi"]
+    for k in range(dens.n_steps + 1):
+        if k and dens.step == "kernel":
+            grid = density.kernel_step(grid, dens.eps, fields, kernel_exponent_mode=mode,
+                                       gradient_correction=dens.gradient_correction)
+        elif k:
+            grid = density.schrodinger_step(grid, dens.eps, fields, kernel_exponent_mode=mode)
+        if k % dens.snapshot_stride == 0 or k == dens.n_steps:
+            lines += [f"{_fmt(grid.s)},{_fmt(x)},{_fmt(p)}" for x, p in zip(grid.x_grid, grid.psi)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("exponent_mode", ["rederived", "paper"])
+def test_density_options_reach_the_update(tmp_path, exponent_mode):
+    # each of step, gradient_correction and kernel_exponent_mode reaches the
+    # update: the bytes equal a direct loop of the update with those options
+    written = {}
+    for step, correction in (("kernel", True), ("kernel", False), ("schrodinger", False)):
+        doc = dict(MINIMAL, modes={"kernel_exponent_mode": exponent_mode}, numerics=small_numerics(
+            x_grid={"min": 0.2, "max": 3.0, "n": 33},
+            density={"eps": 0.01, "n_steps": 4, "snapshot_stride": 2, "u": 0.2,
+                     "step": step, "gradient_correction": correction},
+        ))
+        out = tmp_path / f"{step}{correction}"
+        config = write_config(tmp_path, doc, f"{step}{correction}.json")
+        assert main(["density", "--config", config, "--out-dir", str(out)]) == 0
+        written[step, correction] = (out / "density.csv").read_text()
+        assert written[step, correction] == _density_csv_by_direct_loop(load_config(config))
+    assert written["kernel", True] != written["kernel", False]
+
+
 def test_report_is_strict_json_when_a_suite_value_is_not_finite(tmp_path, monkeypatch, capsys):
     # an empty root scan makes max_closed_vs_scan infinite: the suite fails,
     # and report.json still parses with non-finite constants rejected
@@ -665,6 +707,11 @@ def test_usage_errors_exit_2(tmp_path):
         ("density.n_steps", small_numerics(density={"n_steps": 0})),
         ("density.n_steps", small_numerics(density={"n_steps": -3})),
         ("density.u", small_numerics(density={"u": 1.5})),
+        # the correction term exists only in the kernel update; the
+        # Schrodinger update would write the density without it
+        ("density.gradient_correction", small_numerics(density={"gradient_correction": True})),
+        ("density.gradient_correction", small_numerics(
+            density={"step": "schrodinger", "gradient_correction": True})),
         ("x_grid.n", small_numerics(x_grid={"min": 0.2, "max": 2.0, "n": 3})),
     ]
     # grids outside the domain of (s, x) fail before optimize computes a row

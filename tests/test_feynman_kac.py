@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stubborn import dynamics
 from stubborn.feynman_kac import FKProblem, fk_estimate, fk_pde_residual_check, pde_stencil
 from stubborn.model import ModelParams, State
 
@@ -124,3 +125,29 @@ def test_estimator_validates_inputs():
         pde_stencil(problem(), State(s=0.0, x=1.0), 0.1, 0.1)
     with pytest.raises(ValueError, match="insufficient grid"):
         pde_stencil(problem(), State(s=0.99, x=1.0), 0.05, 0.1)
+
+
+NOISY = ModelParams(a=0.3, sigma1=0.3, sigma2=0.1)
+
+
+@pytest.mark.parametrize("dynamics_params", [FROZEN, NOISY], ids=["frozen", "noisy"])
+@pytest.mark.parametrize("terminal", ["constant", "state"])
+def test_scalar_fields_equal_array_fields_bit_for_bit(monkeypatch, dynamics_params, terminal):
+    # numpy broadcasts a field's float against the paths; a field that fills
+    # an array with it instead must give the same bits, at any worker count
+    def fields(fill):
+        T_term = (lambda t, x: fill(x, 1.5)) if terminal == "constant" else (lambda t, x: x)
+        return problem(V=lambda s, x, u: fill(x, 0.3), Theta=lambda s, x, u: fill(x, 0.7),
+                       T_term=T_term, dynamics=dynamics_params)
+
+    as_float, as_array = fields(lambda x, c: c), fields(np.full_like)
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 64)  # 300 paths in 5 blocks
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STUBBORN_THREADS", threads)
+        want = fk_estimate(as_float, 0.1, 1.2, 0.02, 300, seed=7)
+        assert fk_estimate(as_array, 0.1, 1.2, 0.02, 300, seed=7) == want, threads
+        results.append(want)
+    assert results[0] == results[1]
+    _mean, se = results[0]  # the paths spread only a state-dependent terminal
+    assert (se > 1e-9) == (dynamics_params is NOISY and terminal == "state")

@@ -230,3 +230,18 @@ def test_accumulation_equals_written_out_payoff(
     for i, rows in enumerate(got):
         for want_rows, got_rows in zip(want, rows, strict=True):
             assert np.array_equal(want_rows[i], got_rows, equal_nan=True), (i, controls)
+
+
+def test_estimate_reduces_the_valid_paths_only():
+    totals = np.array([2.0, 5.0, 3.0, 11.0])
+    flags = np.array([False, True, False, False])
+    none_valid = payoff._estimate(totals, flags, np.ones(4, dtype=bool))
+    assert math.isnan(none_valid.mean) and math.isnan(none_valid.std_error)
+    assert none_valid.invalid_fraction == 1.0 and none_valid.clamp_fraction == 0.25
+    one_valid = payoff._estimate(totals, flags, np.array([True, True, False, True]))
+    assert (one_valid.mean, one_valid.std_error) == (3.0, 0.0)
+    assert one_valid.invalid_fraction == 0.75
+    two_valid = payoff._estimate(totals, flags, np.array([True, False, True, False]))
+    want = (8.0, float(np.std([5.0, 11.0], ddof=1) / math.sqrt(2)))
+    assert (two_valid.mean, two_valid.std_error) == want
+    assert (two_valid.mean, two_valid.std_error) == payoff._mean_and_error(np.array([5.0, 11.0]))
