@@ -267,7 +267,7 @@ def _path_block(first: int, states: np.ndarray, clamped: np.ndarray, steps: list
     _fmt there) after its step's ",k,s," prefix in steps."""
     flags = (",0", ",1")
     return "\n".join([
-        pid + step + repr(x) + flags[hit]
+        f"{pid}{step}{x!r}{flags[hit]}"
         for pid, xs, hits in zip(
             map(str, range(first, first + len(states))), states.tolist(), clamped.tolist()
         )
@@ -308,8 +308,8 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     out = out_dir / "paths.csv"
     try:
         # the pool's map submits every chunk when called, so its workers fork
-        # before paths.csv is opened, and after simulate_batch has joined its
-        # threads, so no thread is copied mid-lock
+        # before paths.csv is opened, and after simulate_batch has reaped its
+        # own forked workers
         blocks = ordered_map(_path_block, *zip(*chunks))
         written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", blocks)}
     finally:

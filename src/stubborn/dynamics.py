@@ -8,7 +8,7 @@ because sqrt(x) is undefined below 0; clamp events are recorded per step.
 Noise is counter-based: the draw for (seed, path_index, step_index) is a
 pure function of those three integers (SplitMix64-style bit mixing feeding
 a Box-Muller transform), so per-path streams are bit-reproducible and
-independent of batch layout, chunking, and thread count.  `step_normals`
+independent of batch layout, chunking, and worker count.  `step_normals`
 defines the stream; the engine computes each path's key
 _mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
 several steps per call, as one (S, m) array for S steps of the block's m
@@ -18,10 +18,12 @@ caps a call at `_BLOCK_ELEMS` normals: 2 steps for 16384 paths, 21 for
 the 1560-path blocks of a 21-control sweep, every step of an `optimize`
 ranking block; the last call is cut at n_steps.  One call per step on
 1560 paths was too short (about 17 numpy calls per step) for two
-threads to overlap; an uncapped S slowed one thread.
+threads to overlap when the workers were threads; an uncapped S slowed
+one worker.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
-`_for_each_chunk` the only place that splits paths into blocks and threads.
+`_for_each_chunk` the only place that splits paths into blocks and
+worker processes.
 The step runs in place on a few arrays allocated once per block, in the
 rounding order of x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, with
 sqrt(x) and sigma2*x computed once; it yields that sqrt(x), which the
@@ -46,23 +48,36 @@ every cell at one s in a single pass that way.
 
 A block holds at most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS`
 path-control pairs (16384 paths for one or two controls, 1560 for
-twenty-one).  Blocks run on worker threads unless a block has more rows
-(controls) than paths, as in an `optimize` ranking pass (about 200-280
-candidate rows in blocks of 117-159 paths).  A second thread did not
-measurably shorten such a pass: `optimize` on the perfbench
-`feedback_grid` scenario took a median 0.180 s with this rule and 0.170 s
-without it, inside each other's quartiles (0.158-0.197 and 0.163-0.186 s;
-16 alternated processes each, min of 3 passes, 2 cores), and the thread
-raised peak RSS by 2 MB (35.1 against 37.0 MB), the second block's
-working set.
+twenty-one).  Blocks run on forked worker processes, which write what
+they compute into `_shared` arrays that the caller allocated, unless a
+block has more rows (controls) than paths, as in an `optimize` ranking
+pass (about 200-280 candidate rows in blocks of 117-159 paths).  That
+rule was measured when the workers were threads, and the measurement is
+kept as its record: a second thread did not measurably shorten such a
+pass: `optimize` on the perfbench `feedback_grid` scenario took a median
+0.180 s with this rule and 0.170 s without it, inside each other's
+quartiles (0.158-0.197 and 0.163-0.186 s; 16 alternated processes each,
+min of 3 passes, 2 cores), and the thread raised peak RSS by 2 MB (35.1
+against 37.0 MB), the second block's working set.
+Processes replaced threads because each block-step is about 25 short
+numpy calls, and each call drops and retakes the interpreter lock, so
+a second thread gained little and held a second block in the caller's
+memory.  On 2 cores a perfbench `mc_sweep` sweep (21 controls, 32768
+paths) peaks at 38.4 MB in the calling process on 2 worker processes
+(31 MB in the worker), against 43.9 MB on 2 threads and 40.5 MB on 1
+(VmHWM after one command in a fresh process, 3 processes each), and the
+perfbench `monte_carlo` workload's peak RSS fell from 52.2 to 46.5 MB
+(medians of 10 alternated pairs, `BENCH_25.json`).  A forked worker runs
+only numpy element-wise code on its blocks and leaves by os._exit.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+import mmap
 import os
-from typing import Callable, Iterator, Sequence
+import sys
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -149,7 +164,7 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
     """Standard-normal draws for paths [first_path, first_path + n_paths) at one step.
 
     Pure function of (seed, path_index, step_index); random access in both
-    path and step, which is what makes chunked/threaded simulation
+    path and step, which is what makes chunked and forked simulation
     bit-stable.  This is the definition of the noise stream; the engine
     computes the same draws, several steps per call, from keys it keeps
     for a whole block.
@@ -286,29 +301,76 @@ def _draw_steps(n_paths: int) -> int:
     return max(1, _BLOCK_ELEMS // n_paths)
 
 
+def _shared(shape: int | tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
+    """A zero-filled array in anonymous shared memory.
+
+    The mapping is MAP_SHARED, so what a forked worker writes into it the
+    caller reads; every array an engine block writes goes here.
+    """
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
+
+
+def _run_child(work: Callable[[int, int], None], blocks: list[tuple[int, int]]) -> NoReturn:
+    """A forked worker: run work on its blocks, then leave by os._exit.
+
+    Exit status 0 on success, else 1, after printing the traceback of an
+    Exception to stderr.  The worker never returns into the caller's code:
+    os._exit runs no atexit handler and flushes none of the caller's
+    buffers, so only the shared arrays carry anything back.
+    """
+    status = 1
+    try:
+        for lo, hi in blocks:
+            work(lo, hi)
+        status = 0
+    except Exception:
+        import traceback  # here, not at module level: only a failing worker needs it
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def _for_each_chunk(
     n_paths: int, work: Callable[[int, int], None], n_controls: int = 1
 ) -> None:
     """Call work(lo, hi) on every fixed block of [0, n_paths).
 
     A block holds `_block_paths(n_controls)` paths; the last may hold
-    fewer.  Blocks run on up to STUBBORN_THREADS threads, or inline
-    when there is only one or a block holds fewer paths than controls:
-    such a pass measured no faster on threads, which only held a second
-    block in memory (see the module docstring).
-    Each call must write only the [lo:hi] slice of arrays its caller owns,
-    so results do not depend on the worker count.
+    fewer.  With W = min(STUBBORN_THREADS, blocks) >= 2 workers, W - 1
+    forked children run blocks[i::W] (i = 1..W-1) while this process runs
+    blocks[0::W], then waits for every child, also when its own share
+    raises; that exception wins over a RuntimeError counting failed
+    children.  Blocks run inline when there is one worker, when the
+    platform has no os.fork, or when a block holds fewer paths than
+    controls (see the module docstring).
+    Each call must write only the [lo:hi] slice of `_shared` arrays its
+    caller owns, so results reach the caller and do not depend on the
+    worker count.
     """
     size = _block_paths(n_controls)
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
     workers = min(_worker_count(), len(blocks)) if size >= n_controls else 1
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         for lo, hi in blocks:
             work(lo, hi)
         return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(work, lo, hi) for lo, hi in blocks]:
-            fut.result()
+    children = []
+    try:
+        for i in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                _run_child(work, blocks[i::workers])
+            children.append(pid)
+        for lo, hi in blocks[0::workers]:
+            work(lo, hi)
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(children)} engine worker processes failed")
 
 
 def simulate_batch(
@@ -325,8 +387,8 @@ def simulate_batch(
     Returns (states, clamped) matrices, both of shape (n_paths, n_steps+1).
     """
     n_steps = n_steps_for(horizon, dt)
-    states = np.empty((n_paths, n_steps + 1), dtype=np.float64)
-    clamped = np.zeros((n_paths, n_steps + 1), dtype=bool)
+    states = _shared((n_paths, n_steps + 1))
+    clamped = _shared((n_paths, n_steps + 1), dtype=bool)
     states[:, 0] = x0
 
     def work(lo: int, hi: int) -> None:
@@ -355,8 +417,8 @@ def simulate_final(
     path counts; memory O(block size) per worker.
     """
     n_steps = n_steps_for(horizon, dt)
-    final = np.empty(n_paths)
-    clamp_any = np.zeros(n_paths, dtype=bool)
+    final = _shared(n_paths)
+    clamp_any = _shared(n_paths, dtype=bool)
 
     def work(lo: int, hi: int) -> None:
         block_clamped = clamp_any[lo:hi]

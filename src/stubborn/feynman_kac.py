@@ -55,7 +55,7 @@ def fk_estimate(
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     n_steps = dynamics.n_steps_for(problem.horizon - s, dt)
-    totals = np.empty(n_paths)
+    totals = dynamics._shared(n_paths)
 
     def work(lo: int, hi: int) -> None:
         m = hi - lo

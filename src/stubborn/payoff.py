@@ -101,9 +101,9 @@ def expected_payoffs(
     k = payoff.c / (payoff.r - payoff.mu_bar)
     bonus = payoff.omega * math.exp(-payoff.r * payoff.horizon)
     shape = (len(controls), n_paths)
-    totals = np.empty(shape)
-    clamp_flags = np.zeros(shape, dtype=bool)
-    invalid = np.zeros(shape, dtype=bool)
+    totals = dynamics._shared(shape)
+    clamp_flags = dynamics._shared(shape, dtype=bool)
+    invalid = dynamics._shared(shape, dtype=bool)
 
     def work(lo: int, hi: int) -> None:
         running = np.zeros((len(controls), hi - lo))

@@ -264,6 +264,31 @@ def test_worker_error_fails_simulate_and_leaves_no_worker(
     assert multiprocessing.active_children() == []
 
 
+def test_engine_worker_error_fails_sweep_and_leaves_no_child(tmp_path, monkeypatch):
+    # 40 paths of 3 controls in blocks of 10 on 2 workers: the forked child
+    # runs the blocks at 10 and 30, and inherits the patched engine
+    monkeypatch.setenv("STUBBORN_THREADS", "2")
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
+    config = load_config(write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(
+        n_paths=40, u_grid_n=3))))
+    assert run_command("sweep", config, str(tmp_path / "ok")) == 0
+    em_steps = dynamics._em_steps
+
+    def failing_at_path_30(*args, **kwargs):
+        if args[6] == 30:  # first_path
+            raise ValueError("planted failure in the block at path 30")
+        return em_steps(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_em_steps", failing_at_path_30)
+    assert run_command("sweep", config, str(tmp_path / "bad")) == 1
+    bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert bad["status"] == "error"
+    assert bad["files"] == []
+    assert bad["error"] == "RuntimeError: 1 of 1 engine worker processes failed"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_paths_csv_keeps_path_order_when_chunks_finish_out_of_order(tmp_path, monkeypatch):
     # the chunk at path 0 finishes last of 6, on 2 workers; the rows must
     # still come in path order
@@ -783,16 +808,18 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # simulate imports its worker pool only when it uses one, so the import
-    # that perfbench's setup_s times does not pay for it
+    # simulate imports its worker pool only when it uses one, and the engine
+    # forks without a pool, so the import that perfbench's setup_s times
+    # pays for neither
     src = str(Path(stubborn.__file__).resolve().parent.parent)
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys, stubborn.cli; "
-         "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"],
+         "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules, "
+         "'concurrent.futures' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
-    assert probe.stdout.split() == ["False", "False"]
+    assert probe.stdout.split() == ["False", "False", "False"]
 
 
 def test_package_imports_only_stdlib_and_numpy():

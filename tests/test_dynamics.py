@@ -1,7 +1,7 @@
-import concurrent.futures
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -107,21 +107,22 @@ ENGINE_CALLS = {
 }
 
 
-class PoolSpy(concurrent.futures.ThreadPoolExecutor):
-    """ThreadPoolExecutor that records the worker count of each pool."""
+class ForkSpy:
+    """os.fork that counts the forks this process makes."""
 
-    sizes: list[int] = []
+    def __init__(self, fork=os.fork):
+        self.fork, self.count = fork, 0
 
-    def __init__(self, max_workers):
-        PoolSpy.sizes.append(max_workers)
-        super().__init__(max_workers)
+    def __call__(self):
+        self.count += 1
+        return self.fork()
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     n_paths=st.integers(1, 40),
     block=st.integers(1, 8),
-    threads=st.sampled_from(["1", "2"]),
+    threads=st.sampled_from(["1", "2", "3"]),
     seed=st.integers(0, 2**63),
 )
 def test_thread_count_independence(n_paths, block, threads, seed):
@@ -131,13 +132,12 @@ def test_thread_count_independence(n_paths, block, threads, seed):
             mp.setenv("STUBBORN_THREADS", "1")
             reference = call(n_paths, seed)
             mp.setattr(dynamics, "_BLOCK_PATHS", block)
-            mp.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+            forks = ForkSpy()
+            mp.setattr(os, "fork", forks)
             mp.setenv("STUBBORN_THREADS", threads)
-            PoolSpy.sizes = []
             blocked = call(n_paths, seed)
-        # two or more blocks of one control on two threads use the pool
-        pooled = threads == "2" and n_paths > block
-        assert PoolSpy.sizes == ([2] if pooled else []), name
+        # W workers on two or more blocks of one control fork W - 1 children
+        assert forks.count == min(int(threads), -(-n_paths // block)) - 1, name
         for want, got in zip(reference, blocked, strict=True):
             want, got = np.asarray(want), np.asarray(got)
             assert want.dtype == got.dtype, name
@@ -152,7 +152,7 @@ def test_thread_count_independence(n_paths, block, threads, seed):
         (20, 1, "2", [2]),
         (25, 1, "2", [2]),
         (45, 1, "4", [4]),
-        (45, 1, "8", [5]),  # never more threads than blocks
+        (45, 1, "8", [5]),  # never more workers than blocks
         (40, 1, "1", []),
         (30, 4, "2", [2]),  # 16 pairs per block hold 4 paths of 4 controls
         (7, 4, "2", [2]),
@@ -161,16 +161,74 @@ def test_thread_count_independence(n_paths, block, threads, seed):
     ],
 )
 def test_thread_fan_out(monkeypatch, n_paths, n_controls, threads, pool):
+    """pool lists the worker count of each fan-out; [] means inline."""
     monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
     monkeypatch.setattr(dynamics, "_BLOCK_ELEMS", 16)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", PoolSpy)
+    forks = ForkSpy()
+    monkeypatch.setattr(os, "fork", forks)
     monkeypatch.setenv("STUBBORN_THREADS", threads)
-    PoolSpy.sizes = []
-    seen = []
-    dynamics._for_each_chunk(n_paths, lambda lo, hi: seen.append((lo, hi)), n_controls)
-    assert PoolSpy.sizes == pool
+    # each path records (lo, hi, pid) of the block that ran it; += makes a
+    # path run twice show
+    seen = dynamics._shared((n_paths, 3), dtype=np.int64)
+
+    def work(lo, hi):
+        seen[lo:hi] += (lo, hi, os.getpid())
+
+    dynamics._for_each_chunk(n_paths, work, n_controls)
+    assert forks.count == sum(workers - 1 for workers in pool)
     size = min(10, 16 // n_controls)
-    assert sorted(seen) == [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    assert sorted({(lo, hi) for lo, hi, _ in seen.tolist()}) == blocks
+    assert all(lo <= path < hi for path, (lo, hi, _) in enumerate(seen.tolist()))
+    # block i runs on worker i % W, worker 0 being this process
+    workers = pool[0] if pool else 1
+    owners = [int(seen[lo, 2]) for lo, _ in blocks]
+    assert len(set(owners)) == workers
+    for i, owner in enumerate(owners):
+        assert owner == owners[i % workers]
+        assert (owner == os.getpid()) == (i % workers == 0)
+
+
+def raise_at(*failing):
+    """A block function that raises ValueError in the blocks starting at failing."""
+
+    def work(lo, hi):
+        if lo in failing:
+            raise ValueError(f"planted failure in the block at {lo}")
+
+    return work
+
+
+# 50 paths in blocks of 10 on 3 workers: this process runs the blocks at 0
+# and 30, the children those at 10 and 40, and at 20.  printed: the blocks
+# whose traceback a child prints (a child stops at its first failure)
+@pytest.mark.parametrize("failing, error, message, printed", [
+    ((20,), RuntimeError, "1 of 2 engine worker processes failed", (20,)),
+    ((40,), RuntimeError, "1 of 2 engine worker processes failed", (40,)),
+    ((10, 20), RuntimeError, "2 of 2 engine worker processes failed", (10, 20)),
+    ((30,), ValueError, "planted failure in the block at 30", ()),
+    ((0, 10, 20, 30, 40), ValueError, "planted failure in the block at 0", (10, 20)),
+], ids=["one-child", "child-second-block", "both-children", "parent", "everywhere"])
+def test_a_failed_block_fails_the_call_and_leaves_no_child(
+    monkeypatch, capfd, failing, error, message, printed
+):
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
+    monkeypatch.setenv("STUBBORN_THREADS", "3")
+    with pytest.raises(error, match=message):
+        dynamics._for_each_chunk(50, raise_at(*failing))
+    with pytest.raises(ChildProcessError):  # no child left to reap
+        os.waitpid(-1, os.WNOHANG)
+    tracebacks = re.findall(r"ValueError: planted failure in the block at (\d+)", capfd.readouterr().err)
+    assert sorted(map(int, tracebacks)) == list(printed)
+
+
+def test_blocks_run_inline_without_fork(monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK_PATHS", 10)
+    monkeypatch.setenv("STUBBORN_THREADS", "3")
+    monkeypatch.delattr(os, "fork")
+    seen = []
+    dynamics._for_each_chunk(25, lambda lo, hi: seen.append((lo, hi)))
+    assert seen == [(0, 10), (10, 20), (20, 25)]
 
 
 def test_default_worker_count_follows_the_affinity_mask(monkeypatch):
