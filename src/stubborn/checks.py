@@ -4,13 +4,17 @@ finite differences, grid+bisection root scans, analytic expectation
 values) and reports measured errors.
 
 These back the `validate` CLI command and are reused by the test suite.
-All suites are deterministic for a fixed seed.
+All suites are deterministic for a fixed seed.  The scenarios come from
+`_Uniforms`, a pure-Python replica of `np.random.default_rng(seed).uniform`
+that draws the same floats bit for bit, so no command imports
+`numpy.random` (which stays resident at about 6 MB once imported).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,69 @@ GAUSSIAN_GRID = {
 AGREE_TOL = 1e-3  # closed-form u vs the grid+bisection oracle
 SCAN_GRID_N = 512  # the root scan's grid is k / SCAN_GRID_N, k = 1..SCAN_GRID_N
 PRINTED_FAIL_FRACTION = 0.9  # printed root formula must diverge this often
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+
+
+class _Uniforms:
+    """The draws of `np.random.default_rng(seed).uniform(lo, hi)`, bit for bit.
+
+    numpy's default generator is PCG64 (O'Neill, "PCG: A family of simple
+    fast space-efficient statistically good algorithms for random number
+    generation", HMC-CS-2014-0905) seeded through `SeedSequence`.  The
+    seed's 32-bit words, least significant first, are hash-mixed into a
+    pool of four words; eight hashed pool words give the 128-bit start
+    state and stream; each draw advances the 128-bit LCG and outputs the
+    XSL-RR 64-bit word, whose top 53 bits scale [lo, hi).  Seeds are
+    nonnegative integers, as `numerics.seed` is.
+    """
+
+    def __init__(self, seed: int) -> None:
+        words = [seed >> 32 * i & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+        const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _MASK32
+            value = value * const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return result ^ result >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # SeedSequence.generate_state(4, np.uint64): 8 words, paired low first
+        const = 0x8B51F9DD
+        state = []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _MASK32
+            value = value * const & _MASK32
+            state.append(value ^ value >> 16)
+        w = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+        # PCG's srandom: state 0, one step, add the start state, one step
+        self._inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
+
+    def uniform(self, lo: float, hi: float) -> float:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        word = (word >> rot | word << (-rot & 63)) & _MASK64
+        return lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)
 
 
 @dataclass(frozen=True)
@@ -74,7 +141,7 @@ def check_gaussian_identity(quad_rel: float = 1e-8) -> dict:
     }
 
 
-def _random_interior_point(rng: np.random.Generator, with_multiplier: bool) -> Scenario:
+def _random_interior_point(rng: _Uniforms, with_multiplier: bool) -> Scenario:
     rm = rng.uniform(0.1, 1.0)
     mu_bar = rng.uniform(-0.2, 0.3)
     if with_multiplier:
@@ -115,12 +182,12 @@ def check_finite_differences(
     error is measured against the size of its terms, max(|published|,
     |exact|, |closed-form gap|) of that partial.
     """
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     worst_fd = 0.0
     worst_gap = 0.0
     for i in range(n_points):
         sc = _random_interior_point(rng, with_multiplier=(i % 2 == 1))
-        u = float(rng.uniform(0.0, 1.0))
+        u = rng.uniform(0.0, 1.0)
         report = finite_difference_check(
             sc.state,
             u,
@@ -151,7 +218,7 @@ def check_finite_differences(
 
 def check_trivial_root(n_scenarios: int = 100, seed: int = 7) -> dict:
     """nash_residual(u=0) == 0 exactly for l0 = 0 in all four mode pairs."""
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     worst = 0.0
     for _ in range(n_scenarios):
         sc = _random_interior_point(rng, with_multiplier=False)
@@ -174,7 +241,7 @@ def check_trivial_root(n_scenarios: int = 100, seed: int = 7) -> dict:
     }
 
 
-def sample_root_scenario(rng: np.random.Generator) -> Scenario | None:
+def sample_root_scenario(rng: _Uniforms) -> Scenario | None:
     """One scenario (s = 0, l0 = 0) whose exact-expansion roots the scan can check.
 
     Some root gives u in [1/SCAN_GRID_N, 1) and none gives u in
@@ -213,7 +280,7 @@ def sample_root_scenario(rng: np.random.Generator) -> Scenario | None:
 
 
 def collect_root_scenarios(n: int, seed: int) -> list[Scenario]:
-    rng = np.random.default_rng(seed)
+    rng = _Uniforms(seed)
     out: list[Scenario] = []
     attempts = 0
     while len(out) < n:
@@ -230,6 +297,8 @@ def check_root_residuals(
     n_scenarios: int = 50,
     seed: int = 11,
     residual_rel: float = 1e-6,
+    dt: float = 0.01,
+    n_paths: int = 200,
 ) -> dict:
     """Closed form vs grid+bisection oracle, and printed-formula divergence.
 
@@ -238,7 +307,9 @@ def check_root_residuals(
     polynomial to 1e-9 of the coefficient scale.  The printed two-branch
     root formula is then evaluated verbatim and its polynomial residual
     recorded; it is expected to fail the certificate on at least
-    PRINTED_FAIL_FRACTION of the scenarios.
+    PRINTED_FAIL_FRACTION of the scenarios.  A scenario with several
+    candidates would rank them with dt, n_paths and seed, as `optimize`
+    does; the sampled scenarios have one each.
     """
     modes = ModeFlags(derivative_mode="paper", nash_mode="paper", closed_form_mode="rederived")
     scenarios = collect_root_scenarios(n_scenarios, seed)
@@ -251,7 +322,8 @@ def check_root_residuals(
         coeffs = closed_form_coeffs(sc.state, sc.model, sc.payoff, sc.lagrange)
         scale = coeffs.coefficient_scale()
         result = optimal_stubbornness(
-            sc.state, sc.model, sc.payoff, sc.lagrange, modes
+            sc.state, sc.model, sc.payoff, sc.lagrange, modes,
+            dt=dt, n_paths=n_paths, seed=seed,
         )
         interior = [u for u in result.u_candidates if 0.0 < u < 1.0]
         u_closed = min(interior, key=lambda u: abs(u - result.u_star)) if interior else result.u_star
@@ -359,21 +431,31 @@ def _null_if_not_finite(suite: dict) -> dict:
 
 def run_all_checks(
     n_paths: int, dt: float, seed: int, fd_rel: float, residual_rel: float, quad_rel: float
-) -> dict:
-    """Every suite, keyed by name, plus an overall pass flag.
+) -> tuple[dict, dict[str, float]]:
+    """(report, seconds per suite): every suite, keyed by name, plus an overall pass flag.
 
     A suite value that is not finite (an empty root scan makes
     max_closed_vs_scan infinite) is reported as None, so the report is
-    strict JSON; each suite's pass flag is decided before that.
+    strict JSON; each suite's pass flag is decided before that.  The
+    seconds stay out of the report, which is deterministic.
     """
-    suites = [
-        check_gaussian_identity(quad_rel),
-        check_finite_differences(fd_rel=fd_rel, seed=seed + 1),
-        check_trivial_root(seed=seed + 2),
-        check_root_residuals(seed=seed + 3, residual_rel=residual_rel),
-        check_fk_cases(dt=dt, n_paths=n_paths, seed=seed + 4),
+    runs = [
+        lambda: check_gaussian_identity(quad_rel),
+        lambda: check_finite_differences(fd_rel=fd_rel, seed=seed + 1),
+        lambda: check_trivial_root(seed=seed + 2),
+        lambda: check_root_residuals(
+            seed=seed + 3, residual_rel=residual_rel, dt=dt, n_paths=n_paths
+        ),
+        lambda: check_fk_cases(dt=dt, n_paths=n_paths, seed=seed + 4),
     ]
-    return {
+    suites, seconds = [], {}
+    for run in runs:
+        started = time.perf_counter()
+        suite = run()
+        seconds[suite["name"]] = time.perf_counter() - started
+        suites.append(suite)
+    report = {
         "suites": {s["name"]: _null_if_not_finite(s) for s in suites},
         "passed": bool(all(s["passed"] for s in suites)),
     }
+    return report, seconds

@@ -113,6 +113,8 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
         raise ConfigError(f"numerics.dt: {exc}") from None
     if numerics.n_paths < 1:
         raise ConfigError("numerics.n_paths must be at least 1")
+    if numerics.seed < 0:
+        raise ConfigError("numerics.seed must be a nonnegative integer")
     if numerics.x0 < 0.0:
         raise ConfigError("numerics.x0 must be nonnegative")
     if numerics.u_grid_n < 2:
@@ -441,7 +443,7 @@ def cmd_density(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], b
 def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], bool, dict]:
     num = config.numerics
     tol = num.tolerances
-    report = checks.run_all_checks(
+    report, suite_seconds = checks.run_all_checks(
         n_paths=num.n_paths,
         dt=num.dt,
         seed=num.seed,
@@ -453,7 +455,7 @@ def cmd_validate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     written = {str(out): _write_json(out, report)}
     for name, suite in sorted(report["suites"].items()):
         print(f"{'PASS' if suite['passed'] else 'FAIL'}: {name}")
-    return written, bool(report["passed"]), {}
+    return written, bool(report["passed"]), {"suite_seconds": suite_seconds}
 
 
 COMMANDS = {
@@ -542,6 +544,17 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
     return 1
 
 
+def _flag_value(key: str, text: str, kind: type) -> int | float:
+    """The command-line override of numerics.key, read from text as kind."""
+    flag = "--" + key.replace("_", "-")
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{flag} must be {noun}, got {text!r}") from None
+    return _value(kind, value, flag)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="stubborn",
@@ -550,19 +563,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out-dir", default=".", help="directory for emitted files")
-    parser.add_argument("--seed", type=int, default=None, help="override numerics.seed")
-    parser.add_argument("--dt", type=float, default=None, help="override numerics.dt")
-    parser.add_argument("--n-paths", type=int, default=None, help="override numerics.n_paths")
+    # the overrides are read as text and converted below, so a malformed
+    # one is a config error with a manifest, as in the config file
+    parser.add_argument("--seed", default=None, help="override numerics.seed")
+    parser.add_argument("--dt", default=None, help="override numerics.dt")
+    parser.add_argument("--n-paths", default=None, help="override numerics.n_paths")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         config = load_config(args.config)
-        overrides = {"seed": args.seed, "dt": args.dt, "n_paths": args.n_paths}
-        num = dataclasses.replace(
-            config.numerics, **{k: v for k, v in overrides.items() if v is not None}
-        )
+        overrides = {"seed": (args.seed, int), "dt": (args.dt, float), "n_paths": (args.n_paths, int)}
+        num = dataclasses.replace(config.numerics, **{
+            key: _flag_value(key, text, kind)
+            for key, (text, kind) in overrides.items() if text is not None
+        })
         _validate_numerics(num, config.payoff.horizon)
         config = dataclasses.replace(config, numerics=num)
     except (ConfigError, ParameterError) as exc:

@@ -22,7 +22,10 @@ by path.
 
 Paths that reach the x = 0 clamp while exercising u > 0 make the cost term
 singular; such paths are flagged invalid and excluded from the estimate,
-with the invalid fraction reported alongside.
+with the invalid fraction reported alongside.  Clamped paths are only
+counted: each block writes how many of its paths hit the clamp under
+each control into one column of a (controls x blocks) count array, and
+the clamp fraction is the summed count over n_paths.
 """
 
 from __future__ import annotations
@@ -102,8 +105,11 @@ def expected_payoffs(
     bonus = payoff.omega * math.exp(-payoff.r * payoff.horizon)
     shape = (len(controls), n_paths)
     totals = dynamics._shared(shape)
-    clamp_flags = dynamics._shared(shape, dtype=bool)
     invalid = dynamics._shared(shape, dtype=bool)
+    block_paths = dynamics._block_paths(len(controls))
+    clamp_counts = dynamics._shared(
+        (len(controls), -(-n_paths // block_paths)), dtype=np.int64
+    )
 
     def work(lo: int, hi: int) -> None:
         running = np.zeros((len(controls), hi - lo))
@@ -111,7 +117,8 @@ def expected_payoffs(
         cost = np.empty_like(running)
         at_zero = np.empty(running.shape, dtype=bool)
         off_zero = np.empty_like(at_zero)
-        block_invalid, block_clamped = invalid[:, lo:hi], clamp_flags[:, lo:hi]
+        block_clamped = np.zeros_like(at_zero)
+        block_invalid = invalid[:, lo:hi]
         for s_j, x, u, x_next, hit, sq in dynamics._em_steps(
             x0, controls, model, dt, n_steps, seed, lo, hi - lo
         ):
@@ -130,22 +137,23 @@ def expected_payoffs(
             running += rate
             block_clamped |= hit
         totals[:, lo:hi] = running + bonus * np.sqrt(x_next)
+        clamp_counts[:, lo // block_paths] = np.count_nonzero(block_clamped, axis=1)
 
     dynamics._for_each_chunk(n_paths, work, len(controls))
-    return [_estimate(*rows) for rows in zip(totals, clamp_flags, invalid)]
+    clamped = clamp_counts.sum(axis=1).tolist()
+    return [_estimate(*rows) for rows in zip(totals, clamped, invalid)]
 
 
-def _estimate(
-    totals: np.ndarray, clamp_flags: np.ndarray, invalid: np.ndarray
-) -> PayoffEstimate:
-    """Reduce one control's per-path totals and flags, in path order."""
+def _estimate(totals: np.ndarray, clamped: int, invalid: np.ndarray) -> PayoffEstimate:
+    """Reduce one control's per-path totals, in path order, its clamped-path
+    count and its per-path invalid flags."""
     n_paths = len(totals)
     valid = totals[~invalid]
     mean, std_error = _mean_and_error(valid) if valid.size else (math.nan, math.nan)
     return PayoffEstimate(
         mean=mean,
         std_error=std_error,
-        clamp_fraction=float(np.count_nonzero(clamp_flags)) / n_paths,
+        clamp_fraction=clamped / n_paths,
         invalid_fraction=float(np.count_nonzero(invalid)) / n_paths,
     )
 

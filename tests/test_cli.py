@@ -647,6 +647,53 @@ def test_validate_passes_and_reproduces(tmp_path):
     }
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     assert manifest["checks_passed"] is True
+    # each suite's seconds go to the manifest only, keyed like the report
+    seconds = manifest["diagnostics"]["suite_seconds"]
+    assert set(seconds) == set(report["suites"])
+    assert all(t >= 0.0 for t in seconds.values())
+    assert sum(seconds.values()) <= manifest["timings"]["compute_s"]
+
+
+def test_root_suite_ranks_with_validates_numerics(monkeypatch):
+    # run_all_checks hands its dt and n_paths, and the suite its seed, to
+    # every optimal_stubbornness call, as optimize does
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append({k: kwargs.get(k) for k in ("dt", "n_paths", "seed")})
+        return control.optimal_stubbornness(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "optimal_stubbornness", spy)
+    report, _seconds = checks.run_all_checks(
+        n_paths=40, dt=0.05, seed=30, fd_rel=1e-5, residual_rel=1e-6, quad_rel=1e-8
+    )
+    assert report["suites"]["root_residuals"]["passed"]
+    assert calls and all(c == {"dt": 0.05, "n_paths": 40, "seed": 33} for c in calls), calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "optimize", "density", "validate"])
+def test_negative_seed_is_a_config_error(tmp_path, command, capsys):
+    # in the config and as the --seed override: exit 2 with a manifest,
+    # before any work (numpy's seeding would raise, the engine would mask it)
+    doc = dict(MINIMAL, numerics=small_numerics())
+    bad = dict(MINIMAL, numerics=small_numerics(seed=-5))
+    good = write_config(tmp_path, doc)
+    runs = {
+        "config": ([command, "--config", write_config(tmp_path, bad, "bad.json")],
+                   "numerics.seed must be a nonnegative integer"),
+        "flag": ([command, "--config", good, "--seed", "-5"],
+                 "numerics.seed must be a nonnegative integer"),
+        "fraction": ([command, "--config", good, "--seed", "1.5"],
+                     "--seed must be an integer, got '1.5'"),
+    }
+    for where, (argv, error) in runs.items():
+        out = tmp_path / where
+        assert main(argv + ["--out-dir", str(out)]) == 2, where
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "config_error", where
+        assert manifest["error"] == error, where
+        assert manifest["files"] == [] and not (out / "report.json").exists(), where
+        assert f"error: {error}" in capsys.readouterr().err, where
 
 
 def test_manifest_config_runs_again_unchanged(tmp_path):
@@ -681,6 +728,17 @@ def test_flag_overrides(tmp_path):
     assert manifest["seed"] == 99
     lines = (tmp_path / "out" / "paths.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 2 * 5
+    # a malformed override is a config error with a manifest, like a config value
+    for flag, text, error in [
+        ("--n-paths", "2.5", "--n-paths must be an integer, got '2.5'"),
+        ("--dt", "fast", "--dt must be a number, got 'fast'"),
+        ("--dt", "nan", "--dt must be a number, got nan"),
+    ]:
+        out = tmp_path / "bad"
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(out), flag, text]) == 2, flag
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("config_error", error), flag
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -805,6 +863,30 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     )
     assert probe.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # validate draws its scenarios from checks._Uniforms, not numpy.random,
+    # which would stay resident for the rest of the process
+    src = str(Path(stubborn.__file__).resolve().parent.parent)
+    doc = dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02))
+    config = write_config(tmp_path, doc)
+    script = (
+        "import sys, stubborn.cli\n"
+        "for command in ('simulate', 'sweep', 'optimize', 'density', 'validate'):\n"
+        f"    code = stubborn.cli.main([command, '--config', {config!r}, "
+        f"'--out-dir', {str(tmp_path / 'out')!r} + '/' + command])\n"
+        "    print(command, code, 'numpy.random' in sys.modules)\n"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    # validate also prints one PASS line per suite
+    lines = [line for line in probe.stdout.splitlines() if not line.startswith("PASS: ")]
+    assert lines == [
+        f"{command} 0 False" for command in ("simulate", "sweep", "optimize", "density", "validate")
+    ]
 
 
 def test_cli_import_leaves_process_pools_unloaded():

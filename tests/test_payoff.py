@@ -214,34 +214,36 @@ def test_accumulation_equals_written_out_payoff(
     controls, starts, per_row, sigma1, c, mu_bar, n_paths, block, elems,
     threads, seed,
 ):
-    """expected_payoffs' per-path totals and flags equal the written-out sum bit for bit."""
+    """expected_payoffs' per-path totals and invalid flags equal the written-out
+    sum bit for bit, and its clamped-path counts count the written-out flags."""
     model = ModelParams(a=0.5, sigma1=sigma1, sigma2=0.2)
     p = pay(c=c, mu_bar=mu_bar, horizon=0.5)
     x0 = starts[: len(controls)] if per_row else starts[0]
     want = reference_accumulation(x0, controls, model, p, 0.05, n_paths, seed)
     with pytest.MonkeyPatch.context() as mp:
-        # each estimate becomes the (totals, clamp flags, invalid flags) it reduces
+        # each estimate becomes the (totals, clamped count, invalid flags) it reduces
         mp.setattr(payoff, "_estimate", lambda *rows: rows)
         mp.setattr(dynamics, "_BLOCK_PATHS", block)
         mp.setattr(dynamics, "_BLOCK_ELEMS", elems)
         mp.setenv("STUBBORN_THREADS", threads)
         got = expected_payoffs(x0, controls, model, p, 0.05, n_paths, seed)
     assert len(got) == len(controls)
-    for i, rows in enumerate(got):
-        for want_rows, got_rows in zip(want, rows, strict=True):
-            assert np.array_equal(want_rows[i], got_rows, equal_nan=True), (i, controls)
+    want_totals, want_clamped, want_invalid = want
+    for i, (totals, clamped, invalid) in enumerate(got):
+        assert np.array_equal(want_totals[i], totals, equal_nan=True), (i, controls)
+        assert clamped == np.count_nonzero(want_clamped[i]), (i, controls)
+        assert np.array_equal(want_invalid[i], invalid), (i, controls)
 
 
 def test_estimate_reduces_the_valid_paths_only():
     totals = np.array([2.0, 5.0, 3.0, 11.0])
-    flags = np.array([False, True, False, False])
-    none_valid = payoff._estimate(totals, flags, np.ones(4, dtype=bool))
+    none_valid = payoff._estimate(totals, 1, np.ones(4, dtype=bool))
     assert math.isnan(none_valid.mean) and math.isnan(none_valid.std_error)
     assert none_valid.invalid_fraction == 1.0 and none_valid.clamp_fraction == 0.25
-    one_valid = payoff._estimate(totals, flags, np.array([True, True, False, True]))
+    one_valid = payoff._estimate(totals, 1, np.array([True, True, False, True]))
     assert (one_valid.mean, one_valid.std_error) == (3.0, 0.0)
     assert one_valid.invalid_fraction == 0.75
-    two_valid = payoff._estimate(totals, flags, np.array([True, False, True, False]))
+    two_valid = payoff._estimate(totals, 1, np.array([True, False, True, False]))
     want = (8.0, float(np.std([5.0, 11.0], ddof=1) / math.sqrt(2)))
     assert (two_valid.mean, two_valid.std_error) == want
     assert (two_valid.mean, two_valid.std_error) == payoff._mean_and_error(np.array([5.0, 11.0]))
