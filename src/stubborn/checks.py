@@ -42,6 +42,10 @@ GAUSSIAN_GRID = {
 AGREE_TOL = 1e-3  # closed-form u vs the grid+bisection oracle
 SCAN_GRID_N = 512  # the root scan's grid is k / SCAN_GRID_N, k = 1..SCAN_GRID_N
 PRINTED_FAIL_FRACTION = 0.9  # printed root formula must diverge this often
+FD_POINTS = 100  # random interior points of the derivative suite
+GAP_TOL = 1e-6  # published-mode gap vs its closed form, relative to the terms
+TRIVIAL_SCENARIOS = 100  # scenarios of the trivial-root suite
+ROOT_SCENARIOS = 50  # scenarios of the root-residual suite
 
 
 _MASK32 = 0xFFFFFFFF
@@ -170,13 +174,9 @@ def _random_interior_point(rng: _Uniforms, with_multiplier: bool) -> Scenario:
     )
 
 
-def check_finite_differences(
-    n_points: int = 100,
-    seed: int = 2024,
-    fd_rel: float = 1e-5,
-    gap_tol: float = 1e-6,
-) -> dict:
-    """Exact-mode partials vs FD, and published-mode gap vs its closed form.
+def check_finite_differences(seed: int = 2024, fd_rel: float = 1e-5) -> dict:
+    """Exact-mode partials vs FD, and published-mode gap vs its closed form,
+    at FD_POINTS random points.
 
     The FD errors are those of :func:`finite_difference_check`; each gap
     error is measured against the size of its terms, max(|published|,
@@ -185,7 +185,7 @@ def check_finite_differences(
     rng = _Uniforms(seed)
     worst_fd = 0.0
     worst_gap = 0.0
-    for i in range(n_points):
+    for i in range(FD_POINTS):
         sc = _random_interior_point(rng, with_multiplier=(i % 2 == 1))
         u = rng.uniform(0.0, 1.0)
         report = finite_difference_check(
@@ -207,20 +207,21 @@ def check_finite_differences(
             worst_gap = max(worst_gap, err)
     return {
         "name": "derivative_consistency",
-        "points": n_points,
+        "points": FD_POINTS,
         "max_fd_rel_error": worst_fd,
         "fd_tolerance": fd_rel,
         "max_gap_error": worst_gap,
-        "gap_tolerance": gap_tol,
-        "passed": bool(worst_fd <= fd_rel and worst_gap <= gap_tol),
+        "gap_tolerance": GAP_TOL,
+        "passed": bool(worst_fd <= fd_rel and worst_gap <= GAP_TOL),
     }
 
 
-def check_trivial_root(n_scenarios: int = 100, seed: int = 7) -> dict:
-    """nash_residual(u=0) == 0 exactly for l0 = 0 in all four mode pairs."""
+def check_trivial_root(seed: int = 7) -> dict:
+    """nash_residual(u=0) == 0 exactly for l0 = 0 in all four mode pairs,
+    over TRIVIAL_SCENARIOS scenarios."""
     rng = _Uniforms(seed)
     worst = 0.0
-    for _ in range(n_scenarios):
+    for _ in range(TRIVIAL_SCENARIOS):
         sc = _random_interior_point(rng, with_multiplier=False)
         for dm in ("paper", "consistent"):
             for nm in ("paper", "rederived"):
@@ -235,7 +236,7 @@ def check_trivial_root(n_scenarios: int = 100, seed: int = 7) -> dict:
                 )
     return {
         "name": "trivial_root_law",
-        "scenarios": n_scenarios,
+        "scenarios": TRIVIAL_SCENARIOS,
         "max_abs_residual": worst,
         "passed": bool(worst == 0.0),
     }
@@ -294,7 +295,6 @@ def collect_root_scenarios(n: int, seed: int) -> list[Scenario]:
 
 
 def check_root_residuals(
-    n_scenarios: int = 50,
     seed: int = 11,
     residual_rel: float = 1e-6,
     dt: float = 0.01,
@@ -302,17 +302,17 @@ def check_root_residuals(
 ) -> dict:
     """Closed form vs grid+bisection oracle, and printed-formula divergence.
 
-    For each scenario: |u_closed - u_scan| <= AGREE_TOL, the residual
-    certificate holds at u*, and the exact-expansion roots satisfy the
-    polynomial to 1e-9 of the coefficient scale.  The printed two-branch
-    root formula is then evaluated verbatim and its polynomial residual
-    recorded; it is expected to fail the certificate on at least
+    For each of ROOT_SCENARIOS scenarios: |u_closed - u_scan| <= AGREE_TOL,
+    the residual certificate holds at u*, and the exact-expansion roots
+    satisfy the polynomial to 1e-9 of the coefficient scale.  The printed
+    two-branch root formula is then evaluated verbatim and its polynomial
+    residual recorded; it is expected to fail the certificate on at least
     PRINTED_FAIL_FRACTION of the scenarios.  A scenario with several
     candidates would rank them with dt, n_paths and seed, as `optimize`
     does; the sampled scenarios have one each.
     """
     modes = ModeFlags(derivative_mode="paper", nash_mode="paper", closed_form_mode="rederived")
-    scenarios = collect_root_scenarios(n_scenarios, seed)
+    scenarios = collect_root_scenarios(ROOT_SCENARIOS, seed)
     worst_agree = 0.0
     worst_cert = 0.0
     worst_poly = 0.0
@@ -360,10 +360,10 @@ def check_root_residuals(
                 "diverged": bool(diverged),
             }
         )
-    fail_frac = printed_failures / n_scenarios
+    fail_frac = printed_failures / ROOT_SCENARIOS
     return {
         "name": "root_residuals",
-        "scenarios": n_scenarios,
+        "scenarios": ROOT_SCENARIOS,
         "max_closed_vs_scan": worst_agree,
         "agree_tolerance": AGREE_TOL,
         "max_certificate_ratio": worst_cert,

@@ -13,9 +13,13 @@ its writing time, summed as the manifest's `timings.write_s` (the rest is
 the resolved worker count.
 
 Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
-error.  STUBBORN_THREADS caps the Monte Carlo worker count and the forked
-processes that format paths.csv in fixed chunks of paths, written in path
-order as the pool's map returns them; outputs do not depend on it, and a
+error; a command line that argparse rejects also leaves a config_error
+manifest.  Every fan-out runs on min(worker count, tasks) forked
+processes, and inline when that is 1: the Monte Carlo engine's blocks, and
+the fixed chunks of paths in which paths.csv is formatted (written in path
+order as the pool's map returns them).  The worker count is
+STUBBORN_THREADS, else the CPUs the process may run on, and 1 where the
+platform has no fork; outputs do not depend on it, and a STUBBORN_THREADS
 value that is not a positive integer is a usage error.
 """
 
@@ -115,6 +119,8 @@ def _validate_numerics(numerics: Numerics, horizon: float) -> None:
         raise ConfigError("numerics.n_paths must be at least 1")
     if numerics.seed < 0:
         raise ConfigError("numerics.seed must be a nonnegative integer")
+    if numerics.seed >= 2**64:  # the engine would key its noise by the seed modulo 2**64
+        raise ConfigError(f"numerics.seed must be at most 2**64 - 1 = {2**64 - 1}")
     if numerics.x0 < 0.0:
         raise ConfigError("numerics.x0 must be nonnegative")
     if numerics.u_grid_n < 2:
@@ -298,15 +304,14 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     workers = min(dynamics._worker_count(), len(chunks))
     ordered_map, pool = map, None
     if workers > 1:
-        import multiprocessing  # here, not at module level: `import stubborn.cli` stays lean
-
         # forked, not spawned: spawned workers would import numpy afresh,
-        # which costs about what they would save
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import ProcessPoolExecutor
+        # which costs about what they would save; imported here, not at
+        # module level, so `import stubborn.cli` stays lean
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            ordered_map = pool.map
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        ordered_map = pool.map
     out = out_dir / "paths.csv"
     try:
         # the pool's map submits every chunk when called, so its workers fork
@@ -322,7 +327,7 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
     return written, True, {
         "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
         "draw_steps": dynamics._draw_steps(dynamics._block_paths(1)),
-        "write_workers": 1 if pool is None else workers, "write_chunk_paths": size,
+        "write_workers": workers, "write_chunk_paths": size,
     }
 
 
@@ -469,7 +474,7 @@ COMMANDS = {
 
 def _write_manifest(
     out: FsPath,
-    command: str,
+    command: str | None,
     config: RunConfig | None,
     status: str,
     error: str | None,
@@ -479,7 +484,8 @@ def _write_manifest(
     checks_passed: bool | None = None,
     diagnostics: dict | None = None,
 ) -> None:
-    """Write out/manifest.json; config is None when it never parsed.
+    """Write out/manifest.json; config is None when it never parsed, and
+    command is None when the command line named none.
 
     The two timings sum to duration_seconds exactly."""
     manifest = {
@@ -534,14 +540,9 @@ def run_command(name: str, config: RunConfig, out_dir: str = ".") -> int:
         out, name, config, status, error_text, time.perf_counter() - started - write_s,
         write_s, files=list(written), checks_passed=checks_passed, diagnostics=diagnostics,
     )
-    if status == "ok":
-        return 0
-    if status == "config_error":
-        print(f"error: {error_text}", file=sys.stderr)
-        return 2
     if error_text:
         print(f"error: {error_text}", file=sys.stderr)
-    return 1
+    return {"ok": 0, "config_error": 2}.get(status, 1)
 
 
 def _flag_value(key: str, text: str, kind: type) -> int | float:
@@ -555,8 +556,18 @@ def _flag_value(key: str, text: str, kind: type) -> int | float:
     return _value(kind, value, flag)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps the message of the usage error it exits on."""
+
+    message = ""
+
+    def error(self, message: str) -> typing.NoReturn:
+        self.message = message
+        super().error(message)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stubborn",
         description="Goal-dynamics SDE simulation, payoff evaluation, and optimal-stubbornness computation.",
     )
@@ -565,31 +576,44 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out-dir", default=".", help="directory for emitted files")
     # the overrides are read as text and converted below, so a malformed
     # one is a config error with a manifest, as in the config file
-    parser.add_argument("--seed", default=None, help="override numerics.seed")
-    parser.add_argument("--dt", default=None, help="override numerics.dt")
-    parser.add_argument("--n-paths", default=None, help="override numerics.n_paths")
+    parser.add_argument("--seed", help="override numerics.seed")
+    parser.add_argument("--dt", help="override numerics.dt")
+    parser.add_argument("--n-paths", help="override numerics.n_paths")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        config = load_config(args.config)
-        overrides = {"seed": (args.seed, int), "dt": (args.dt, float), "n_paths": (args.n_paths, int)}
-        num = dataclasses.replace(config.numerics, **{
-            key: _flag_value(key, text, kind)
-            for key, (text, kind) in overrides.items() if text is not None
-        })
-        _validate_numerics(num, config.payoff.horizon)
-        config = dataclasses.replace(config, numerics=num)
-    except (ConfigError, ParameterError) as exc:
-        # a manifest is emitted even when the config never parsed
+        if exc.code in (0, None):  # --help
+            return 0
+        # argparse has printed its message; the manifest goes into the
+        # --out-dir the command line names, else ".", and names the command
+        # when the first positional argument does.  Every flag takes an
+        # optional value here, so this reading cannot fail.
+        probe = argparse.ArgumentParser(add_help=False)
+        probe.add_argument("command", nargs="?")
+        for flag in ("--config", "--out-dir", "--seed", "--dt", "--n-paths"):
+            probe.add_argument(flag, nargs="?")
+        args = probe.parse_known_args(argv)[0]
+        error = parser.message
+    else:
         try:
-            _write_manifest(FsPath(args.out_dir), args.command, None, "config_error", str(exc))
-        except OSError:
-            pass
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run_command(args.command, config, args.out_dir)
+            config = load_config(args.config)
+            overrides = {"seed": (args.seed, int), "dt": (args.dt, float), "n_paths": (args.n_paths, int)}
+            num = dataclasses.replace(config.numerics, **{
+                key: _flag_value(key, text, kind)
+                for key, (text, kind) in overrides.items() if text is not None
+            })
+            _validate_numerics(num, config.payoff.horizon)
+            return run_command(args.command, dataclasses.replace(config, numerics=num), args.out_dir)
+        except (ConfigError, ParameterError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            error = str(exc)
+    # a manifest is emitted even when the command line or config never parsed
+    command = args.command if args.command in COMMANDS else None
+    try:
+        _write_manifest(FsPath(args.out_dir or "."), command, None, "config_error", error)
+    except OSError:
+        pass
+    return 2
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ paths, with the same operations in the same order on every element, so
 each row equals its step's `step_normals` bit for bit.  S = `_draw_steps(m)`
 caps a call at `_BLOCK_ELEMS` normals: 2 steps for 16384 paths, 21 for
 the 1560-path blocks of a 21-control sweep, every step of an `optimize`
-ranking block; the last call is cut at n_steps.  One call per step on
-1560 paths was too short (about 17 numpy calls per step) for two
-threads to overlap when the workers were threads; an uncapped S slowed
-one worker.
+ranking block; the last call is cut at n_steps.  One step per call made
+a perfbench `mc_sweep` sweep slower on worker processes (1.32 against
+1.23 s at 1 worker, 0.727 against 0.682 s at 2, medians of 6 alternated
+processes on 2 cores), and an uncapped S slowed one worker.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and
@@ -48,27 +48,14 @@ every cell at one s in a single pass that way.
 
 A block holds at most `_BLOCK_PATHS` paths and at most `_BLOCK_ELEMS`
 path-control pairs (16384 paths for one or two controls, 1560 for
-twenty-one).  Blocks run on forked worker processes, which write what
-they compute into `_shared` arrays that the caller allocated, unless a
-block has more rows (controls) than paths, as in an `optimize` ranking
-pass (about 200-280 candidate rows in blocks of 117-159 paths).  That
-rule was measured when the workers were threads, and the measurement is
-kept as its record: a second thread did not measurably shorten such a
-pass: `optimize` on the perfbench `feedback_grid` scenario took a median
-0.180 s with this rule and 0.170 s without it, inside each other's
-quartiles (0.158-0.197 and 0.163-0.186 s; 16 alternated processes each,
-min of 3 passes, 2 cores), and the thread raised peak RSS by 2 MB (35.1
-against 37.0 MB), the second block's working set.
-Processes replaced threads because each block-step is about 25 short
-numpy calls, and each call drops and retakes the interpreter lock, so
-a second thread gained little and held a second block in the caller's
-memory.  On 2 cores a perfbench `mc_sweep` sweep (21 controls, 32768
-paths) peaks at 38.4 MB in the calling process on 2 worker processes
-(31 MB in the worker), against 43.9 MB on 2 threads and 40.5 MB on 1
-(VmHWM after one command in a fresh process, 3 processes each), and the
-perfbench `monte_carlo` workload's peak RSS fell from 52.2 to 46.5 MB
-(medians of 10 alternated pairs, `BENCH_25.json`).  A forked worker runs
-only numpy element-wise code on its blocks and leaves by os._exit.
+twenty-one).  Blocks run on min(`_worker_count()`, blocks) forked worker
+processes, which write what they compute into `_shared` arrays that the
+caller allocated, and inline when that number is 1.  An `optimize`
+ranking pass (206 and 278 candidate rows in blocks of 159 and 117 paths
+on the perfbench `feedback_grid` scenario) forks like any other call,
+since running it inline measured no faster (`BENCH_27.json`).  A forked
+worker runs only numpy element-wise code on its blocks and leaves by
+os._exit.
 """
 
 from __future__ import annotations
@@ -266,21 +253,25 @@ def _em_steps(
 
 
 def _worker_count() -> int:
-    """STUBBORN_THREADS, or the CPUs this process may run on when it is unset or empty.
+    """The processes a run may use: STUBBORN_THREADS, else the CPUs it may run on.
 
-    The CPU count is the size of the affinity mask where the platform has
-    one (so `taskset` and cpusets are honoured), else `os.cpu_count()`.
-    Raises ParameterError when STUBBORN_THREADS is set to anything but a
-    positive integer in decimal digits.
+    The CPU count, used when STUBBORN_THREADS is unset or empty, is the
+    size of the affinity mask where the platform has one (so `taskset`
+    and cpusets are honoured), else `os.cpu_count()`.  It is 1 where the
+    platform has no os.fork, so every fan-out runs inline there.  Raises
+    ParameterError when STUBBORN_THREADS is set to anything but a positive
+    integer in decimal digits, also on such a platform.
     """
     env = os.environ.get("STUBBORN_THREADS")
-    if not env:
-        if hasattr(os, "sched_getaffinity"):
-            return max(1, len(os.sched_getaffinity(0)))
-        return max(1, os.cpu_count() or 1)
-    if not (env.isascii() and env.isdigit() and int(env) > 0):
+    if env and not (env.isascii() and env.isdigit() and int(env) > 0):
         raise ParameterError(f"STUBBORN_THREADS must be a positive integer, got {env!r}")
-    return int(env)
+    if not hasattr(os, "fork"):
+        return 1
+    if env:
+        return int(env)
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def _block_paths(n_controls: int) -> int:
@@ -340,21 +331,20 @@ def _for_each_chunk(
     """Call work(lo, hi) on every fixed block of [0, n_paths).
 
     A block holds `_block_paths(n_controls)` paths; the last may hold
-    fewer.  With W = min(STUBBORN_THREADS, blocks) >= 2 workers, W - 1
+    fewer.  With W = min(`_worker_count()`, blocks) >= 2 workers, W - 1
     forked children run blocks[i::W] (i = 1..W-1) while this process runs
     blocks[0::W], then waits for every child, also when its own share
     raises; that exception wins over a RuntimeError counting failed
-    children.  Blocks run inline when there is one worker, when the
-    platform has no os.fork, or when a block holds fewer paths than
-    controls (see the module docstring).
+    children.  Blocks run inline when W is 1.  n_controls only sizes the
+    blocks.
     Each call must write only the [lo:hi] slice of `_shared` arrays its
     caller owns, so results reach the caller and do not depend on the
     worker count.
     """
     size = _block_paths(n_controls)
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(_worker_count(), len(blocks)) if size >= n_controls else 1
-    if workers <= 1 or not hasattr(os, "fork"):
+    workers = min(_worker_count(), len(blocks))
+    if workers <= 1:
         for lo, hi in blocks:
             work(lo, hi)
         return

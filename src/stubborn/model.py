@@ -127,20 +127,14 @@ class ModeFlags:
     closed_form_mode: str = "rederived"
 
     def __post_init__(self) -> None:
-        if self.derivative_mode not in DERIVATIVE_MODES:
-            raise ParameterError(
-                f"derivative_mode must be one of {DERIVATIVE_MODES}"
-            )
-        if self.nash_mode not in NASH_MODES:
-            raise ParameterError(f"nash_mode must be one of {NASH_MODES}")
-        if self.kernel_exponent_mode not in KERNEL_EXPONENT_MODES:
-            raise ParameterError(
-                f"kernel_exponent_mode must be one of {KERNEL_EXPONENT_MODES}"
-            )
-        if self.closed_form_mode not in CLOSED_FORM_MODES:
-            raise ParameterError(
-                f"closed_form_mode must be one of {CLOSED_FORM_MODES}"
-            )
+        for name, allowed in (
+            ("derivative_mode", DERIVATIVE_MODES),
+            ("nash_mode", NASH_MODES),
+            ("kernel_exponent_mode", KERNEL_EXPONENT_MODES),
+            ("closed_form_mode", CLOSED_FORM_MODES),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ParameterError(f"{name} must be one of {allowed}")
 
     def describe(self) -> str:
         """Compact single-cell rendering for CSV output."""
@@ -170,20 +164,14 @@ def validate_params(
     for name in ("theta", "alpha1", "alpha2", "alpha3", "c", "r", "mu_bar", "omega", "horizon"):
         if not math.isfinite(getattr(payoff, name)):
             raise ParameterError(f"{name} must be finite")
-    if payoff.theta <= 0.0:
-        raise ParameterError("theta must be positive")
-    if payoff.c <= 0.0:
-        raise ParameterError("c must be positive")
-    if payoff.omega <= 0.0:
-        raise ParameterError("omega must be positive")
-    if payoff.horizon <= 0.0:
-        raise ParameterError("horizon must be positive")
+    for name in ("theta", "c", "omega", "horizon"):
+        if getattr(payoff, name) <= 0.0:
+            raise ParameterError(f"{name} must be positive")
     if not payoff.r > payoff.mu_bar:
         raise ParameterError("r must exceed mu_bar")
 
-    if not math.isfinite(lagrange.l0):
-        raise ParameterError("l0 must be finite")
-    if not math.isfinite(lagrange.l1):
-        raise ParameterError("l1 must be finite")
+    for name in ("l0", "l1"):
+        if not math.isfinite(getattr(lagrange, name)):
+            raise ParameterError(f"{name} must be finite")
 
     return model, payoff, lagrange

@@ -45,7 +45,7 @@ def report(n, ok, budget, timer, detail):
 @pytest.fixture(scope="module")
 def root_suite():
     with Timer() as t:
-        result = checks.check_root_residuals(n_scenarios=50, seed=11)
+        result = checks.check_root_residuals(seed=11)
     result["_elapsed"] = t.elapsed
     return result
 
@@ -65,7 +65,7 @@ def test_criterion_1_gaussian_integral_identity():
 
 def test_criterion_2_derivative_consistency():
     with Timer() as t:
-        suite = checks.check_finite_differences(n_points=100, fd_rel=1e-5, gap_tol=1e-6)
+        suite = checks.check_finite_differences(fd_rel=1e-5)
     report(
         2,
         suite["passed"],
@@ -78,7 +78,7 @@ def test_criterion_2_derivative_consistency():
 
 def test_criterion_3_trivial_root_law():
     with Timer() as t:
-        suite = checks.check_trivial_root(n_scenarios=100)
+        suite = checks.check_trivial_root()
     report(
         3,
         suite["passed"],

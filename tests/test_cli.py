@@ -21,6 +21,7 @@ from stubborn import checks, cli, control, density, dynamics
 from stubborn.cli import ConfigError, _fmt, load_config, main, parse_config, run_command
 from stubborn.model import ModelParams
 from stubborn.payoff import expected_payoff
+from test_dynamics import ForkSpy
 
 MINIMAL = {
     "model": {"a": 1.0, "sigma1": 0.3, "sigma2": 0.1},
@@ -50,6 +51,21 @@ OPTIONAL_KEYS = [
     ("numerics", "density", "snapshot_stride"), ("numerics", "density", "u"),
     ("numerics", "density", "step"),
 ]
+
+
+# the perfbench feedback_grid scenario's optimize: 3 x 1025 cells, and two
+# ranking passes on 200 paths
+FEEDBACK_GRID = {
+    "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
+    "payoff": dict(MINIMAL["payoff"], c=2.5),
+    "lagrange": {"l0": 0.4, "l1": 0.0},
+    "modes": {"derivative_mode": "paper", "nash_mode": "paper"},
+    "numerics": {
+        "dt": 0.01, "n_paths": 200, "seed": 1009,
+        "x_grid": {"min": 0.2, "max": 3.0, "n": 1025},
+        "s_grid": {"min": 0.0, "max": 1.0, "n": 3},
+    },
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -289,6 +305,80 @@ def test_engine_worker_error_fails_sweep_and_leaves_no_child(tmp_path, monkeypat
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_simulate_without_fork_runs_inline(tmp_path, monkeypatch):
+    # where the platform has no os.fork the worker count is 1, so the engine
+    # and the paths.csv writer both run in the command's own process
+    monkeypatch.setenv("STUBBORN_THREADS", "2")
+    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)  # 16 paths in 6 chunks
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics()))
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "forked")]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "inline")]) == 0
+    forked, inline = (json.loads((tmp_path / run / "manifest.json").read_text())["diagnostics"]
+                      for run in ("forked", "inline"))
+    assert (forked["worker_count"], forked["write_workers"]) == (2, 2)
+    assert (inline["worker_count"], inline["write_workers"]) == (1, 1)
+    assert (tmp_path / "inline" / "paths.csv").read_bytes() == \
+        (tmp_path / "forked" / "paths.csv").read_bytes()
+    # STUBBORN_THREADS is still checked there
+    monkeypatch.setenv("STUBBORN_THREADS", "two")
+    assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "bad")]) == 2
+
+
+def test_optimize_ranking_blocks_with_more_rows_than_paths_fork(tmp_path, monkeypatch):
+    # feedback_grid ranks 206 and 278 candidate rows on 200 paths, in two
+    # blocks each (of 159 and 117 paths): each pass forks one child on 2 or
+    # more workers, and optimize.csv does not depend on the worker count
+    rows = []
+    ranked = control.expected_payoffs
+
+    def spy(x0, controls, *args):
+        rows.append(len(controls))
+        return ranked(x0, controls, *args)
+
+    monkeypatch.setattr(control, "expected_payoffs", spy)
+    cfg_path = write_config(tmp_path, FEEDBACK_GRID)
+    written = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("STUBBORN_THREADS", threads)
+        forks = ForkSpy()
+        monkeypatch.setattr(os, "fork", forks)
+        out = tmp_path / threads
+        assert main(["optimize", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        assert forks.count == (0 if threads == "1" else 2), threads
+        written[threads] = (out / "optimize.csv").read_bytes()
+    assert rows == [206, 278] * 3
+    assert [dynamics._block_paths(n) for n in rows[:2]] == [159, 117]
+    assert written["1"] == written["2"] == written["3"]
+    with pytest.raises(ChildProcessError):  # no child left to reap
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_commands_leak_no_resource(tmp_path):
+    # in development mode with ResourceWarning an error, a leaked pipe, mmap
+    # or process pool prints to stderr; simulate formats its 3 chunks on 2
+    # processes, and sweep and optimize fork engine workers
+    src = str(Path(stubborn.__file__).resolve().parent.parent)
+    configs = {
+        "simulate": dict(MINIMAL, numerics=small_numerics(n_paths=300)),
+        "sweep": dict(MINIMAL, numerics=small_numerics(n_paths=2000, u_grid_n=21)),
+        "optimize": FEEDBACK_GRID,
+    }
+    for command, doc in configs.items():
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "stubborn",
+             command, "--config", write_config(tmp_path, doc, f"{command}.json"),
+             "--out-dir", str(tmp_path / command)],
+            env={**os.environ, "PYTHONPATH": src, "STUBBORN_THREADS": "2"},
+            capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stderr) == (0, ""), command
+    diagnostics = {command: json.loads((tmp_path / command / "manifest.json").read_text())["diagnostics"]
+                   for command in configs}
+    assert diagnostics["simulate"]["write_workers"] == 2
+    assert diagnostics["sweep"]["block_paths"] == 1560  # 2000 paths in two blocks
+
+
 def test_paths_csv_keeps_path_order_when_chunks_finish_out_of_order(tmp_path, monkeypatch):
     # the chunk at path 0 finishes last of 6, on 2 workers; the rows must
     # still come in path order
@@ -403,18 +493,7 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert opt["status_counts"] == {s: statuses.count(s) for s in set(statuses)}
     assert opt["ranked_cells"] == 0  # no cell here has two candidates
     # the feedback-grid scenario: 3 x 1025 cells, 103 + 139 of them ranked
-    grid_doc = {
-        "model": {"a": 2.0, "sigma1": 0.5, "sigma2": 0.5},
-        "payoff": dict(MINIMAL["payoff"], c=2.5),
-        "lagrange": {"l0": 0.4, "l1": 0.0},
-        "modes": {"derivative_mode": "paper", "nash_mode": "paper"},
-        "numerics": {
-            "dt": 0.01, "n_paths": 200, "seed": 1009,
-            "x_grid": {"min": 0.2, "max": 3.0, "n": 1025},
-            "s_grid": {"min": 0.0, "max": 1.0, "n": 3},
-        },
-    }
-    assert main(["optimize", "--config", write_config(tmp_path, grid_doc, "grid.json"),
+    assert main(["optimize", "--config", write_config(tmp_path, FEEDBACK_GRID, "grid.json"),
                  "--out-dir", str(tmp_path / "grid")]) == 0
     grid = json.loads((tmp_path / "grid" / "manifest.json").read_text())["diagnostics"]
     assert grid["status_counts"] == {"ok": 1912, "trivial root only": 1163}
@@ -694,6 +773,60 @@ def test_negative_seed_is_a_config_error(tmp_path, command, capsys):
         assert manifest["error"] == error, where
         assert manifest["files"] == [] and not (out / "report.json").exists(), where
         assert f"error: {error}" in capsys.readouterr().err, where
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "optimize", "density", "validate"])
+def test_seed_beyond_64_bits_is_a_config_error(tmp_path, command, capsys):
+    # the engine keys its noise by the seed modulo 2**64: a seed of
+    # 2**64 + 3 would repeat seed 3's paths, so it is refused in the config
+    # and as the --seed override, and 2**64 - 1 still runs
+    error = "numerics.seed must be at most 2**64 - 1 = 18446744073709551615"
+    good = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02)))
+    bad = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(seed=2**64 + 3)), "bad.json")
+    runs = {
+        "config": [command, "--config", bad],
+        "flag": [command, "--config", good, "--seed", str(2**64)],
+    }
+    for where, argv in runs.items():
+        out = tmp_path / where
+        assert main(argv + ["--out-dir", str(out)]) == 2, where
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("config_error", error), where
+        assert manifest["files"] == [], where
+        assert f"error: {error}" in capsys.readouterr().err, where
+    out = tmp_path / "largest"
+    assert main([command, "--config", good, "--seed", str(2**64 - 1), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["seed"]) == ("ok", 2**64 - 1)
+
+
+@pytest.mark.parametrize("argv, out_dir, command, message", [
+    (["sweep", "--out-dir", "d"], "d", "sweep",
+     "the following arguments are required: --config"),
+    (["bogus", "--config", "c.json", "--out-dir", "d"], "d", None,
+     "argument command: invalid choice: 'bogus'"),
+    (["--out-dir=d"], "d", None, "the following arguments are required: command, --config"),
+    (["--seed", "5", "optimize", "--config", "c.json", "--out-dir", "d", "extra"], "d",
+     "optimize", "unrecognized arguments: extra"),
+    # no --out-dir to recover: the manifest goes into the working directory
+    (["validate", "--config", "c.json", "--out-dir"], ".", "validate",
+     "argument --out-dir: expected one argument"),
+], ids=["no-config", "unknown-command", "no-command", "extra-argument", "no-out-dir-value"])
+def test_usage_error_writes_a_manifest(tmp_path, monkeypatch, capsys, argv, out_dir, command, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert f"stubborn: error: {message}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / out_dir / "manifest.json").read_text())
+    assert (manifest["status"], manifest["command"]) == ("config_error", command)
+    assert manifest["error"].startswith(message)
+    assert manifest["config"] is None and manifest["files"] == []
+
+
+def test_help_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--help", "--out-dir", "d"]) == 0
+    assert "usage: stubborn" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_config_runs_again_unchanged(tmp_path):

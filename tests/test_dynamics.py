@@ -156,8 +156,10 @@ def test_thread_count_independence(n_paths, block, threads, seed):
         (40, 1, "1", []),
         (30, 4, "2", [2]),  # 16 pairs per block hold 4 paths of 4 controls
         (7, 4, "2", [2]),
-        (30, 5, "2", []),  # 3 paths of 5 controls: more rows than paths
-        (8, 6, "2", []),
+        # more rows than paths: 3 paths of 5 controls, and 2 of 6, fork
+        # as any other blocks do
+        (30, 5, "2", [2]),
+        (8, 6, "2", [2]),
     ],
 )
 def test_thread_fan_out(monkeypatch, n_paths, n_controls, threads, pool):
