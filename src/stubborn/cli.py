@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 check failure or runtime error, 2 usage/config
 error; a command line that argparse rejects also leaves a config_error
 manifest.  Every fan-out runs on min(worker count, tasks) forked
 processes, and inline when that is 1: the Monte Carlo engine's blocks, and
-the fixed chunks of paths in which paths.csv is formatted (written in path
-order as the pool's map returns them).  The worker count is
+the fixed chunks of paths in which paths.csv is formatted (each worker
+sends its chunks' bytes through its own pipe, and the command writes them
+in path order).  The worker count is
 STUBBORN_THREADS, else the CPUs the process may run on, and 1 where the
 platform has no fork; outputs do not depend on it, and a STUBBORN_THREADS
 value that is not a positive integer is a usage error.
@@ -249,23 +250,37 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: FsPath, header: str, rows: Iterable[str]) -> float:
-    """Write one line per row; return the seconds taken, lazy rows' formatting included."""
+def _write_csv(path: FsPath, header: str, rows: Iterable[str | bytes]) -> float:
+    """Write one line per row; return the seconds taken, lazy rows' formatting included.
+
+    A row of bytes (UTF-8 text, as a forked paths.csv worker sends it) goes
+    to the file's byte layer as it is, after the text written before it.
+    """
     started = time.perf_counter()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row)
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                fh.flush()
+                fh.buffer.write(row)
             fh.write("\n")
     return time.perf_counter() - started
+
+
+def _engine_blocks(n_paths: int, n_controls: int, n_steps: int) -> dict[str, int]:
+    """The manifest's block_paths and draw_steps: the paths of the engine's
+    first block, and the steps of noise that block draws per call."""
+    paths = min(n_paths, dynamics._block_paths(n_controls))
+    return {"block_paths": paths, "draw_steps": dynamics._draw_steps(paths, n_steps)}
 
 
 # Paths per chunk of paths.csv lines; the chunks depend only on n_paths.
 # Chunks of 500 paths took the time of chunks of 100 on the perfbench
 # path_dump config (wall time 2% lower in the median, lower in only 4 of 10
-# alternated pairs on 2 cores), but each chunk's text passes through the
-# command's process a few times over, and at 500 paths that raised its
-# peak RSS by 8%.
+# alternated pairs on 2 cores), but a worker and the command each hold a
+# chunk's text at a time, and at 500 paths that raised peak RSS by 8%.
 _BLOCK_PATHS = 100
 
 
@@ -294,39 +309,26 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
         num.seed,
         num.n_paths,
     )
-    # the ",k,s," prefixes are formatted once; the lines in chunks of
-    # _BLOCK_PATHS paths, on worker processes when there are two or more
-    # chunks and workers (repr holds the GIL, so threads would not help)
+    # The ",k,s," prefixes are formatted once; the lines in chunks of
+    # _BLOCK_PATHS paths, on forked worker processes when there are two or
+    # more chunks and workers (repr holds the GIL, so threads would not
+    # help).  The workers fork here, after simulate_batch has reaped its
+    # own and before paths.csv is opened; they read states and clamped from
+    # the shared memory they inherit and stream each chunk's bytes back
+    # through a pipe, in path order.
     steps = [f",{k},{_fmt(k * num.dt)}," for k in range(states.shape[1])]
     size = _BLOCK_PATHS
     chunks = [(first, states[first:first + size], clamped[first:first + size], steps)
               for first in range(0, num.n_paths, size)]
     workers = min(dynamics._worker_count(), len(chunks))
-    ordered_map, pool = map, None
-    if workers > 1:
-        # forked, not spawned: spawned workers would import numpy afresh,
-        # which costs about what they would save; imported here, not at
-        # module level, so `import stubborn.cli` stays lean
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        ordered_map = pool.map
     out = out_dir / "paths.csv"
-    try:
-        # the pool's map submits every chunk when called, so its workers fork
-        # before paths.csv is opened, and after simulate_batch has reaped its
-        # own forked workers
-        blocks = ordered_map(_path_block, *zip(*chunks))
+    # no worker outlives the block, also when one fails or the writing does
+    with dynamics._ordered_map(_path_block, chunks, workers) as blocks:
         written = {str(out): _write_csv(out, "path_id,step,s,x,clamped", blocks)}
-    finally:
-        if pool is not None:  # no worker outlives the command, also on error
-            pool.shutdown(cancel_futures=True)
     # the share of paths clamped at least once, as sweep's clamp_fraction
     clamp_fraction = float(np.count_nonzero(clamped.any(axis=1))) / clamped.shape[0]
     return written, True, {
-        "clamp_fraction": clamp_fraction, "block_paths": dynamics._block_paths(1),
-        "draw_steps": dynamics._draw_steps(dynamics._block_paths(1)),
+        "clamp_fraction": clamp_fraction, **_engine_blocks(num.n_paths, 1, states.shape[1] - 1),
         "write_workers": workers, "write_chunk_paths": size,
     }
 
@@ -349,11 +351,11 @@ def cmd_sweep(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], boo
     ]
     out = out_dir / "sweep.csv"
     written = {str(out): _write_csv(out, "u,J_mean,J_stderr,invalid_fraction", rows)}
+    n_steps = dynamics.n_steps_for(config.payoff.horizon, num.dt)
     return written, True, {
         # one entry per sweep.csv row
         "clamp_fraction": [est.clamp_fraction for est in estimates],
-        "block_paths": dynamics._block_paths(len(u_grid)),
-        "draw_steps": dynamics._draw_steps(dynamics._block_paths(len(u_grid))),
+        **_engine_blocks(num.n_paths, len(u_grid), n_steps),
     }
 
 

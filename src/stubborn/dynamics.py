@@ -13,19 +13,26 @@ defines the stream; the engine computes each path's key
 _mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
 several steps per call, as one (S, m) array for S steps of the block's m
 paths, with the same operations in the same order on every element, so
-each row equals its step's `step_normals` bit for bit.  S = `_draw_steps(m)`
-caps a call at `_BLOCK_ELEMS` normals: 2 steps for 16384 paths, 21 for
-the 1560-path blocks of a 21-control sweep, every step of an `optimize`
-ranking block; the last call is cut at n_steps.  One step per call made
+each row equals its step's `step_normals` bit for bit.
+S = `_draw_steps(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
+at the run's steps: 2 steps for 16384 paths, 21 for the 1560-path blocks
+of a 21-control sweep, every step of an `optimize` ranking block; the
+last call is cut at n_steps.  The draw buffers hold S steps, so a block
+whose S is its step count holds no step it never runs (on the perfbench
+`feedback_grid` optimize, sizing them by the normals cap alone raised
+the process's peak RSS by 0.45 MB).  One step per call made
 a perfbench `mc_sweep` sweep slower on worker processes (1.32 against
 1.23 s at 1 worker, 0.727 against 0.682 s at 2, medians of 6 alternated
 processes on 2 cores), and an uncapped S slowed one worker.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and
-worker processes.
-The step runs in place on a few arrays allocated once per block, in the
-rounding order of x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, with
+worker processes.  `_workers` is the only place that forks; the other
+fan-out through it is `_ordered_map`, on which `simulate` formats
+paths.csv.
+The step runs in place on a few arrays allocated once per block (its
+noise draws too), in the rounding order of
+x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, with
 sqrt(x) and sigma2*x computed once; it yields that sqrt(x), which the
 payoff's cost term reuses.  Every output is bit-identical to the step
 written with `drift` and `diffusion`.
@@ -60,11 +67,13 @@ os._exit.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import math
 import mmap
 import os
 import sys
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -88,9 +97,13 @@ _INV53 = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, in place on the uint64 array z; returns z."""
-    t = z >> np.uint64(30)
+def _mix64(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer, in place on the uint64 array z; returns z.
+
+    t, of z's shape and dtype, holds the shifted words; a fresh array
+    when it is None.
+    """
+    t = np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= _MIX1
     np.right_shift(z, np.uint64(27), out=t)
@@ -114,29 +127,37 @@ def _path_keys(seed: int, first_path: int, n_paths: int) -> np.ndarray:
     return _mix64(paths)
 
 
-def _step_draws(keys: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:
+def _step_draws(
+    keys: np.ndarray, first_step: int, n_steps: int, work: np.ndarray | None = None
+) -> np.ndarray:
     """Standard-normal draws at steps first_step..first_step+n_steps-1.
 
     Row i of the (n_steps, len(keys)) result holds step first_step+i for
     the paths with these keys.  Box-Muller on two SplitMix64 outputs per
     path and step, computed in place; every element sees the same
     operations as in a one-step draw, so rows do not depend on n_steps.
+    work is a uint64 array of shape (3, >= n_steps, len(keys)) that the
+    draw overwrites, and the result is a float64 view of its last plane;
+    a fresh array when it is None.
     """
+    if work is None:
+        work = np.empty((3, n_steps, len(keys)), np.uint64)
+    z, t, u1 = work[0, :n_steps], work[1, :n_steps], work[2, :n_steps].view(np.float64)
     steps = range(first_step, first_step + n_steps)
     # Offsets wrap in Python int space; numpy scalar uint64 multiplies would
     # emit spurious overflow warnings.
     odd = np.array([(_GOLDEN_INT * (2 * j + 1)) & _MASK for j in steps], dtype=np.uint64)
     even = np.array([(_GOLDEN_INT * (2 * j + 2)) & _MASK for j in steps], dtype=np.uint64)
-    z = _mix64(keys + odd.reshape(-1, 1))
+    _mix64(np.add(keys, odd.reshape(-1, 1), out=z), t)
     z >>= np.uint64(11)
     # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
-    u1 = z.astype(np.float64)
+    u1[...] = z
     u1 += 1.0
     u1 *= _INV53
-    np.add(keys, even.reshape(-1, 1), out=z)
-    _mix64(z)
+    _mix64(np.add(keys, even.reshape(-1, 1), out=z), t)
     z >>= np.uint64(11)
-    u2 = z.astype(np.float64)
+    u2 = t.view(np.float64)
+    u2[...] = z
     u2 *= _INV53
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -219,14 +240,15 @@ def _em_steps(
     a, sigma1, sigma2 = model.a, model.sigma1, model.sigma2
     sqrt_dt = math.sqrt(dt)
     keys = _path_keys(seed, first_path, n_paths)
-    chunk = _draw_steps(n_paths)
+    chunk = _draw_steps(n_paths, n_steps)
+    work = np.empty((3, chunk, n_paths), np.uint64)  # the noise draws' buffers
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
     x_next, sq, sx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     hit = np.empty(x.shape, dtype=bool)
     for j in range(n_steps):
         if j % chunk == 0:
-            noise = _step_draws(keys, j, min(chunk, n_steps - j))
+            noise = _step_draws(keys, j, min(chunk, n_steps - j), work)
         w = noise[j % chunk]
         # The update x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w in its
         # rounding order, in place.  Clamped states are never negative, so
@@ -283,13 +305,15 @@ def _block_paths(n_controls: int) -> int:
     return max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
 
 
-def _draw_steps(n_paths: int) -> int:
-    """Steps of noise `_em_steps` draws per call for a block of n_paths paths.
+def _draw_steps(n_paths: int, n_steps: int) -> int:
+    """Steps of noise `_em_steps` draws per call for a block of n_paths
+    paths that runs n_steps steps.
 
-    At most `_BLOCK_ELEMS` normals and at least one step per call; the
+    At most `_BLOCK_ELEMS` normals, at least one step and at most n_steps
+    per call, so the draw buffers hold no step the block never runs; the
     manifests of `simulate` and `sweep` record it as `draw_steps`.
     """
-    return max(1, _BLOCK_ELEMS // n_paths)
+    return max(1, min(n_steps, _BLOCK_ELEMS // n_paths))
 
 
 def _shared(shape: int | tuple[int, ...], dtype: type = np.float64) -> np.ndarray:
@@ -303,19 +327,21 @@ def _shared(shape: int | tuple[int, ...], dtype: type = np.float64) -> np.ndarra
     return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
-def _run_child(work: Callable[[int, int], None], blocks: list[tuple[int, int]]) -> NoReturn:
-    """A forked worker: run work on its blocks, then leave by os._exit.
+def _run_child(run: Callable[..., None], *args: object) -> NoReturn:
+    """A forked worker: call run(*args), then leave by os._exit.
 
     Exit status 0 on success, else 1, after printing the traceback of an
-    Exception to stderr.  The worker never returns into the caller's code:
-    os._exit runs no atexit handler and flushes none of the caller's
-    buffers, so only the shared arrays carry anything back.
+    Exception to stderr (none when a pipe's reader has gone: the reader
+    reports its own error).  The worker never returns into the caller's
+    code: os._exit runs no atexit handler and flushes none of the caller's
+    buffers, so only shared arrays and pipes carry anything back.
     """
     status = 1
     try:
-        for lo, hi in blocks:
-            work(lo, hi)
+        run(*args)
         status = 0
+    except BrokenPipeError:
+        pass
     except Exception:
         import traceback  # here, not at module level: only a failing worker needs it
 
@@ -323,6 +349,30 @@ def _run_child(work: Callable[[int, int], None], blocks: list[tuple[int, int]]) 
         sys.stderr.flush()
     finally:
         os._exit(status)
+
+
+@contextlib.contextmanager
+def _workers(what: str) -> Iterator[Callable[..., None]]:
+    """Yield fork(run, *args), which forks a worker running `_run_child(run, *args)`.
+
+    Both fan-outs fork here.  On leaving the block every worker forked in
+    it is waited for, also when the block raises; that exception wins over
+    a RuntimeError counting the workers that failed.
+    """
+    pids: list[int] = []
+
+    def fork(run: Callable[..., None], *args: object) -> None:
+        pid = os.fork()
+        if pid == 0:
+            _run_child(run, *args)
+        pids.append(pid)
+
+    try:
+        yield fork
+    finally:
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(pids)} {what} worker processes failed")
 
 
 def _for_each_chunk(
@@ -333,34 +383,76 @@ def _for_each_chunk(
     A block holds `_block_paths(n_controls)` paths; the last may hold
     fewer.  With W = min(`_worker_count()`, blocks) >= 2 workers, W - 1
     forked children run blocks[i::W] (i = 1..W-1) while this process runs
-    blocks[0::W], then waits for every child, also when its own share
-    raises; that exception wins over a RuntimeError counting failed
-    children.  Blocks run inline when W is 1.  n_controls only sizes the
-    blocks.
+    blocks[0::W], then waits for every child (`_workers`); with W = 1 it
+    forks none.  n_controls only sizes the blocks.
     Each call must write only the [lo:hi] slice of `_shared` arrays its
     caller owns, so results reach the caller and do not depend on the
     worker count.
     """
     size = _block_paths(n_controls)
     blocks = [(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
-    workers = min(_worker_count(), len(blocks))
-    if workers <= 1:
-        for lo, hi in blocks:
+    workers = max(1, min(_worker_count(), len(blocks)))
+
+    def share(i: int) -> None:
+        for lo, hi in blocks[i::workers]:
             work(lo, hi)
-        return
-    children = []
-    try:
+
+    with _workers("engine") as fork:
         for i in range(1, workers):
-            pid = os.fork()
-            if pid == 0:
-                _run_child(work, blocks[i::workers])
-            children.append(pid)
-        for lo, hi in blocks[0::workers]:
-            work(lo, hi)
-    finally:
-        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in children)
-    if failed:
-        raise RuntimeError(f"{failed} of {len(children)} engine worker processes failed")
+            fork(share, i)
+        share(0)
+
+
+@contextlib.contextmanager
+def _ordered_map(fn: Callable[..., str], tasks: Sequence[tuple], workers: int) -> Iterator:
+    """Yield an iterator over fn(*task) for the tasks in order: the text,
+    computed inline, when workers <= 1, else its UTF-8 bytes, computed on
+    `workers` forked processes.
+
+    The workers fork on entering the block.  Worker i computes tasks i,
+    i + workers, ... and writes each result to its own pipe as a marshal
+    record; in place of a result it cannot compute it writes the
+    "Type: message" of the exception as a str, which is raised here as a
+    RuntimeError when its task comes up.  On leaving the block the pipes
+    close, so a worker still writing stops, and every worker is waited
+    for (`_workers`).
+    """
+    if workers <= 1:
+        yield (fn(*task) for task in tasks)
+        return
+    readers: list[BinaryIO] = []
+
+    def send(i: int, pipe: BinaryIO) -> None:
+        for reader in readers:  # the worker keeps only its own write end
+            reader.close()
+        for task in tasks[i::workers]:
+            try:
+                record = marshal.dumps(fn(*task).encode())
+            except Exception as exc:
+                pipe.write(marshal.dumps(f"{type(exc).__name__}: {exc}"))
+                pipe.flush()
+                raise
+            pipe.write(record)
+            pipe.flush()
+
+    def results() -> Iterator[bytes]:
+        for k in range(len(tasks)):
+            result = marshal.load(readers[k % workers])
+            if isinstance(result, str):
+                raise RuntimeError(f"worker process {k % workers} failed on task {k}: {result}")
+            yield result
+
+    with _workers("output") as fork:
+        try:
+            for i in range(workers):
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
+                with open(w, "wb") as pipe:  # closed here once the worker has it
+                    fork(send, i, pipe)
+            yield results()
+        finally:
+            for reader in readers:
+                reader.close()
 
 
 def simulate_batch(

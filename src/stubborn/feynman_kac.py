@@ -61,12 +61,17 @@ def fk_estimate(
         m = hi - lo
         disc = np.ones(m)
         theta_acc = np.zeros(m)
+        term = np.empty(m)
         for t_j, xs, u, x_next, _hit, _sq in dynamics._em_steps(
             x, [problem.u], problem.dynamics, dt, n_steps, seed, lo, m
         ):
             s_j, xs, u = s + t_j, xs[0], u[0]
-            theta_acc += problem.Theta(s_j, xs, u) * disc * dt
-            disc = disc * np.exp(-problem.V(s_j, xs, u) * dt)
+            # theta_acc += Theta * disc * dt and disc *= exp(-V * dt), in
+            # place and in that rounding order
+            np.multiply(problem.Theta(s_j, xs, u), disc, out=term)
+            term *= dt
+            theta_acc += term
+            disc *= np.exp(-problem.V(s_j, xs, u) * dt)
         totals[lo:hi] = problem.T_term(problem.horizon, x_next[0]) * disc + theta_acc
 
     dynamics._for_each_chunk(n_paths, work)

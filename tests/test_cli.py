@@ -1,9 +1,9 @@
 import ast
 import dataclasses
 import json
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -270,14 +270,56 @@ def test_worker_error_fails_simulate_and_leaves_no_worker(
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "ok")]) == 0
     ok = json.loads((tmp_path / "ok" / "manifest.json").read_text())
     assert ok["diagnostics"]["write_workers"] == 2
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child left to reap
+        os.waitpid(-1, os.WNOHANG)
     monkeypatch.setattr(cli, target, planted)
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "bad")]) == 1
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert bad["status"] == "error"
     assert bad["files"] == []
     assert message in bad["error"]
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_writer_error_stops_workers_blocked_on_full_pipes(tmp_path):
+    # 100-path chunks at dt 0.01 hold about 330 KB of text each, beyond a
+    # pipe's 64 KB buffer, so when the command's writing fails after one
+    # chunk both workers are blocked writing theirs: the command must still
+    # exit 1, and stop and reap them
+    src = str(Path(stubborn.__file__).resolve().parent.parent)
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(n_paths=1000, dt=0.01)))
+    argv = ["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "bad")]
+    script = (
+        "import os\n"
+        "from stubborn import cli\n"
+        "write_csv = cli._write_csv\n"
+        "def first_then_fail(rows):\n"
+        "    yield next(iter(rows))\n"
+        "    raise OSError('planted failure after one block')\n"
+        "cli._write_csv = lambda path, header, rows: write_csv(path, header, first_then_fail(rows))\n"
+        f"code = cli.main({argv!r})\n"
+        "try:\n"
+        "    print(code, os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print(code, 'no child')\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src, "STUBBORN_THREADS": "2"},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the command and the workers it left
+        proc.communicate()
+        raise
+    assert stdout.split() == ["1", "no", "child"]
+    # a worker that finds its pipe closed leaves without a traceback
+    assert stderr == "error: OSError: planted failure after one block\n"
+    bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
+    assert (bad["status"], bad["files"]) == ("error", [])
 
 
 def test_engine_worker_error_fails_sweep_and_leaves_no_child(tmp_path, monkeypatch):
@@ -355,27 +397,29 @@ def test_optimize_ranking_blocks_with_more_rows_than_paths_fork(tmp_path, monkey
 
 
 def test_forked_commands_leak_no_resource(tmp_path):
-    # in development mode with ResourceWarning an error, a leaked pipe, mmap
-    # or process pool prints to stderr; simulate formats its 3 chunks on 2
+    # in development mode with ResourceWarning an error, a leaked pipe or
+    # mmap prints to stderr; simulate formats its 3 and 10 chunks on 2
     # processes, and sweep and optimize fork engine workers
     src = str(Path(stubborn.__file__).resolve().parent.parent)
-    configs = {
-        "simulate": dict(MINIMAL, numerics=small_numerics(n_paths=300)),
-        "sweep": dict(MINIMAL, numerics=small_numerics(n_paths=2000, u_grid_n=21)),
-        "optimize": FEEDBACK_GRID,
+    runs = {
+        "simulate": ("simulate", dict(MINIMAL, numerics=small_numerics(n_paths=300))),
+        # 100-path chunks of about 330 KB: each fills its worker's pipe
+        "simulate-wide": ("simulate", dict(MINIMAL, numerics=small_numerics(n_paths=1000, dt=0.01))),
+        "sweep": ("sweep", dict(MINIMAL, numerics=small_numerics(n_paths=2000, u_grid_n=21))),
+        "optimize": ("optimize", FEEDBACK_GRID),
     }
-    for command, doc in configs.items():
+    for name, (command, doc) in runs.items():
         run = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "stubborn",
-             command, "--config", write_config(tmp_path, doc, f"{command}.json"),
-             "--out-dir", str(tmp_path / command)],
+             command, "--config", write_config(tmp_path, doc, f"{name}.json"),
+             "--out-dir", str(tmp_path / name)],
             env={**os.environ, "PYTHONPATH": src, "STUBBORN_THREADS": "2"},
             capture_output=True, text=True,
         )
-        assert (run.returncode, run.stderr) == (0, ""), command
-    diagnostics = {command: json.loads((tmp_path / command / "manifest.json").read_text())["diagnostics"]
-                   for command in configs}
-    assert diagnostics["simulate"]["write_workers"] == 2
+        assert (run.returncode, run.stderr) == (0, ""), name
+    diagnostics = {name: json.loads((tmp_path / name / "manifest.json").read_text())["diagnostics"]
+                   for name in runs}
+    assert diagnostics["simulate"]["write_workers"] == diagnostics["simulate-wide"]["write_workers"] == 2
     assert diagnostics["sweep"]["block_paths"] == 1560  # 2000 paths in two blocks
 
 
@@ -462,13 +506,10 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     sweep = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["diagnostics"]
     assert len(sweep["clamp_fraction"]) == 11
     assert all(0.0 <= f <= 1.0 for f in sweep["clamp_fraction"])
-    # paths per block: 16384 for one control, 32768 // 21 pairs for the
-    # mc_sweep shape of 21 controls at 32768 paths (four steps here)
-    assert sim["block_paths"] == low["block_paths"] == 16384
-    assert sweep["block_paths"] == 32768 // 11
-    # steps of noise per draw: at most 32768 normals per call for a full block
-    assert sim["draw_steps"] == low["draw_steps"] == 2
-    assert sweep["draw_steps"] == 11
+    # the block that ran: all 16 paths in one block, which draws all of its
+    # 20 steps of noise in one call (32768 // 16 steps would fit)
+    assert sim["block_paths"] == low["block_paths"] == sweep["block_paths"] == 16
+    assert sim["draw_steps"] == low["draw_steps"] == sweep["draw_steps"] == 20
     # paths.csv: one chunk of 16 paths is formatted inline; 4-path chunks on
     # 3 worker processes, as STUBBORN_THREADS allows
     assert sim["write_workers"] == low["write_workers"] == 1
@@ -484,8 +525,10 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     assert main(["sweep", "--config", write_config(tmp_path, wide_doc, "wide.json"),
                  "--out-dir", str(tmp_path / "wide")]) == 0
     wide = json.loads((tmp_path / "wide" / "manifest.json").read_text())["diagnostics"]
+    # 32768 // 21 pairs per block for the mc_sweep shape of 21 controls at
+    # 32768 paths; 21 steps of noise would fit in a call, but there are 4
     assert wide["block_paths"] == 1560
-    assert wide["draw_steps"] == 21
+    assert wide["draw_steps"] == 4
     # one count per status string, over every optimize.csv row
     opt = json.loads((tmp_path / "optimize" / "manifest.json").read_text())["diagnostics"]
     statuses = [row.rsplit(",", 1)[1] for row in
@@ -519,6 +562,34 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     bad = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert bad["diagnostics"] == {}  # the worker count is resolved only once the config parses
     assert bad["timings"] == {"compute_s": 0.0, "write_s": 0.0}
+
+
+def test_manifest_reports_the_engine_block_that_ran(tmp_path, monkeypatch):
+    # block_paths and draw_steps are the paths of the first block and the
+    # steps of its first noise draw, as the engine drew them
+    calls = []
+    draws = dynamics._step_draws
+
+    def spy(keys, first_step, n_steps, *work):
+        calls.append((len(keys), n_steps))
+        return draws(keys, first_step, n_steps, *work)
+
+    monkeypatch.setattr(dynamics, "_step_draws", spy)
+    monkeypatch.setenv("STUBBORN_THREADS", "1")  # every draw in this process
+    readme = write_config(tmp_path, readme_config(), "readme.json")
+    split = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(
+        n_paths=3500, u_grid_n=21)), "split.json")
+    # the README config: one 1000-path block of 100 steps, 32 steps per call
+    # (and 21 controls in sweep); 3500 paths of 21 controls in 1560-path
+    # blocks of 20 steps, drawn in one call each
+    runs = [("simulate", readme, (1000, 32)), ("sweep", readme, (1000, 32)),
+            ("sweep", split, (1560, 20))]
+    for i, (command, cfg_path, shape) in enumerate(runs):
+        calls.clear()
+        out = tmp_path / str(i)
+        assert main([command, "--config", cfg_path, "--out-dir", str(out)]) == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert calls[0] == shape == (diagnostics["block_paths"], diagnostics["draw_steps"]), command
 
 
 def test_optimize_evaluates_each_row_in_two_partials_calls(tmp_path, monkeypatch):
@@ -1022,19 +1093,25 @@ def test_no_command_loads_numpy_random(tmp_path):
     ]
 
 
-def test_cli_import_leaves_process_pools_unloaded():
-    # simulate imports its worker pool only when it uses one, and the engine
-    # forks without a pool, so the import that perfbench's setup_s times
-    # pays for neither
+def test_cli_import_leaves_process_pools_unloaded(tmp_path):
+    # the engine and the paths.csv writer fork without a process pool, so
+    # neither the import that perfbench's setup_s times nor a forked
+    # simulate loads one, which would stay resident for the process
     src = str(Path(stubborn.__file__).resolve().parent.parent)
+    cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(n_paths=300)))
+    argv = ["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]
+    pools = ("'multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules, "
+             "'concurrent.futures' in sys.modules")
     probe = subprocess.run(
         [sys.executable, "-c",
-         "import sys, stubborn.cli; "
-         "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules, "
-         "'concurrent.futures' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+         f"import sys, stubborn.cli; print({pools}); "
+         f"print(stubborn.cli.main({argv!r}), {pools})"],
+        env={**os.environ, "PYTHONPATH": src, "STUBBORN_THREADS": "2"},
+        capture_output=True, text=True, check=True,
     )
-    assert probe.stdout.split() == ["False", "False", "False"]
+    assert probe.stdout.split() == ["False"] * 3 + ["0"] + ["False"] * 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["diagnostics"]["write_workers"] == 2
 
 
 def test_package_imports_only_stdlib_and_numpy():
