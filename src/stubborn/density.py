@@ -136,6 +136,20 @@ def _laplace_terms(
     raise ValueError("kernel_exponent_mode must be 'paper' or 'rederived'")
 
 
+def _growth(eps: float, E: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """exp(eps*E) over the support, divided by its largest value there; 0 off it.
+
+    The constant is absorbed by the normalizer.  Shifting by the max over the
+    points the update carries, not over the whole grid, keeps a large E at a
+    point without mass (the zeroed endpoints) from pushing the carried values
+    into subnormal range or to 0; masking the exponential off the support
+    keeps the larger values there from overflowing.
+    """
+    out = np.zeros_like(E)
+    np.exp(eps * (E - E[support].max()), out=out, where=support)
+    return out
+
+
 def _finish_step(
     raw: np.ndarray, x: np.ndarray, s_next: float
 ) -> DensityGrid:
@@ -155,6 +169,8 @@ def _finish_step(
     raw[0] = 0.0
     raw[-1] = 0.0
     psi = raw / np.trapezoid(raw, x)
+    # subnormal values keep too few significant bits to mean anything
+    psi[psi < np.finfo(psi.dtype).tiny] = 0.0
     return DensityGrid(x_grid=x, psi=psi, s=s_next, warning=warning)
 
 
@@ -172,12 +188,13 @@ def kernel_step(
     multiplier.  The normalizer is numeric: the output integrates to 1.
     """
     x, a, b, E = _laplace_terms(grid, eps, fields, kernel_exponent_mode)
-    # Shift the exponent by its max before exponentiating; the constant is
-    # absorbed by the normalizer and protects against overflow.
-    mult = np.sqrt(math.pi / (eps * a)) * np.exp(eps * (E - E.max()))
-    raw = mult * grid.psi
+    support = grid.psi > 0.0
     if gradient_correction:
         dpsi = np.gradient(grid.psi, x)
+        support |= dpsi != 0.0
+    mult = np.sqrt(math.pi / (eps * a)) * _growth(eps, E, support)
+    raw = mult * grid.psi
+    if gradient_correction:
         raw = raw + mult * (x - b / (2.0 * a)) * dpsi
     return _finish_step(raw, x, grid.s + eps)
 
@@ -190,5 +207,5 @@ def schrodinger_step(
 ) -> DensityGrid:
     """One exponential-Euler update Psi <- Psi * exp(eps*E), renormalized."""
     x, _, _, E = _laplace_terms(grid, eps, fields, kernel_exponent_mode)
-    raw = grid.psi * np.exp(eps * (E - E.max()))
+    raw = grid.psi * _growth(eps, E, grid.psi > 0.0)
     return _finish_step(raw, x, grid.s + eps)
