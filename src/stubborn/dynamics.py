@@ -14,6 +14,13 @@ _mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
 several steps per call, as one (S, m) array for S steps of the block's m
 paths, with the same operations in the same order on every element, so
 each row equals its step's `step_normals` bit for bit.
+Box-Muller takes cos(2 pi u2) as (1 - t^2)/(1 + t^2) with t = tan(pi u2):
+with numpy 2.4 on AVX-512, float64 `np.tan` is SIMD while `np.cos` is
+scalar libm, and a normal costs 18 ns instead of 32 ns (1560 paths x 21
+steps on a 2-vCPU Xeon).  The draws agree with the `np.cos` form to 1e-15
+absolute.  Where numpy has no SIMD tan (no AVX-512) it falls back to libm
+and the gain shrinks; the bits are reproducible on any one machine, as
+they already are with `np.log`'s SIMD dispatch.
 S = `_draw_steps(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
 at the run's steps: 2 steps for 16384 paths, 21 for the 1560-path blocks
 of a 21-control sweep, every step of an `optimize` ranking block; the
@@ -94,7 +101,6 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 2.0 ** -53
-_TWO_PI = 2.0 * np.pi
 
 
 def _mix64(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
@@ -133,12 +139,14 @@ def _step_draws(
     """Standard-normal draws at steps first_step..first_step+n_steps-1.
 
     Row i of the (n_steps, len(keys)) result holds step first_step+i for
-    the paths with these keys.  Box-Muller on two SplitMix64 outputs per
-    path and step, computed in place; every element sees the same
-    operations as in a one-step draw, so rows do not depend on n_steps.
-    work is a uint64 array of shape (3, >= n_steps, len(keys)) that the
-    draw overwrites, and the result is a float64 view of its last plane;
-    a fresh array when it is None.
+    the paths with these keys.  Box-Muller (`_box_muller`, its cosine
+    from tan) on two SplitMix64 outputs per path and step, computed in
+    place; every element sees the same operations as in a one-step draw,
+    so rows do not depend on n_steps.  work is a uint64 array of shape
+    (3, >= n_steps, len(keys)) that the draw overwrites: its planes hold
+    the mixed words, u2 and u1, and the first becomes the transform's
+    spare buffer once both uniforms are out.  The result is a float64
+    view of the last plane; work is a fresh array when it is None.
     """
     if work is None:
         work = np.empty((3, n_steps, len(keys)), np.uint64)
@@ -159,11 +167,26 @@ def _step_draws(
     u2 = t.view(np.float64)
     u2[...] = z
     u2 *= _INV53
+    return _box_muller(u1, u2, z.view(np.float64))
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """sqrt(-2 log u1) * cos(2 pi u2), in place on u1 in (0, 1]; returns u1.
+
+    u2 in [0, 1) and spare, a float64 array of its shape, are overwritten.
+    The cosine is (1 - t^2)/(1 + t^2) with t = tan(pi u2) (see the module
+    docstring for the cost).  At u2 = 1/2, the pole of tan, t is about
+    1.6e16, since pi/2 rounds below the pole, and the quotient is -1.
+    """
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
-    u2 *= _TWO_PI
-    np.cos(u2, out=u2)
+    u2 *= np.pi
+    np.tan(u2, out=u2)
+    np.multiply(u2, u2, out=spare)
+    np.subtract(1.0, spare, out=u2)
+    spare += 1.0
+    u2 /= spare
     u1 *= u2
     return u1
 
@@ -206,6 +229,13 @@ def n_steps_for(horizon: float, dt: float) -> int:
     return n
 
 
+def _control_column(controls: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The controls clipped to [0, 1], as a read-only (len(controls), 1) column."""
+    u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
+    u.flags.writeable = False
+    return u
+
+
 def _em_steps(
     x0: float | Sequence[float] | np.ndarray,
     controls: Sequence[float] | np.ndarray,
@@ -232,8 +262,7 @@ def _em_steps(
     caller.  Later steps reuse their memory, so a caller copies what it
     keeps past the next step; the last x_next stays as it is.
     """
-    u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
-    u.flags.writeable = False
+    u = _control_column(controls)
     starts = np.asarray(x0, dtype=np.float64)
     if starts.ndim and starts.shape != (len(u),):
         raise ValueError(f"x0 holds {starts.size} start states for {len(u)} controls")

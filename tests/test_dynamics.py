@@ -369,6 +369,52 @@ def test_noise_is_standard_normal():
     assert abs(across_paths) <= 4.0 / math.sqrt(100_000)
 
 
+def splitmix64(z):
+    """The SplitMix64 finalizer, written out on a uint64 array (wrapping arithmetic)."""
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def libm_box_muller(u1, u2):
+    """Box-Muller with the cosine taken directly: sqrt(-2 log u1) * cos(2 pi u2)."""
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def test_draw_matches_box_muller_with_libm_cos():
+    """The engine's draw agrees with Box-Muller written with np.cos to 1e-15.
+
+    The uniforms come from SplitMix64 written out here: key
+    mix(seed + GOLDEN*(path+1)), then mix(key + GOLDEN*(2j+1)) for u1 and
+    mix(key + GOLDEN*(2j+2)) for u2 at step j, each shifted to 53 bits.
+    Then the transform alone on the edge uniforms u2 = 0, 1/4, 1/2 (the
+    pole of tan(pi u2)), 3/4 and 1 - 2^-53, from the largest radius down.
+    """
+    golden, mask, inv53 = 0x9E3779B97F4A7C15, 2**64 - 1, 2.0**-53
+    seed, n_paths = 2718, 250_000
+    paths = np.arange(1, n_paths + 1, dtype=np.uint64)
+    keys = splitmix64(paths * np.uint64(golden) + np.uint64(seed))
+    worst = 0.0
+    for j in range(4):
+        u1 = splitmix64(keys + np.uint64(golden * (2 * j + 1) & mask)) >> np.uint64(11)
+        u2 = splitmix64(keys + np.uint64(golden * (2 * j + 2) & mask)) >> np.uint64(11)
+        want = libm_box_muller((u1.astype(np.float64) + 1.0) * inv53, u2.astype(np.float64) * inv53)
+        got = step_normals(seed, 0, n_paths, j)
+        assert np.isfinite(got).all(), j
+        worst = max(worst, float(np.abs(got - want).max()))
+    assert worst <= 1e-15, worst
+
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+    u1_values = np.array([2.0**-53, 1e-3, 0.5, 1.0])  # radius 8.57 down to 0
+    u1, u2 = (a.ravel() for a in np.meshgrid(u1_values, edges))
+    want = libm_box_muller(u1, u2)
+    got = dynamics._box_muller(u1.copy(), u2.copy(), np.empty_like(u2))
+    assert np.isfinite(got).all(), got
+    assert np.abs(got - want).max() <= 1e-15, np.abs(got - want).max()
+
+
 def test_zero_noise_matches_explicit_euler():
     model = ModelParams(a=0.7, sigma1=0.0, sigma2=0.0)
     u = 0.2

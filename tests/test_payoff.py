@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,38 @@ def test_invalid_paths_reported():
     assert free.invalid_fraction == 0.0
 
 
+def test_paths_reaching_zero_raise_no_floating_point_warning(monkeypatch):
+    """The cost's quotient is inf or nan at x = 0; none of that reaches the caller.
+
+    Paths start at 0.3 and reach the clamp mid-run, in one block with rows
+    at u = 0 and u > 0.  Floating-point warnings are errors here, and the
+    error state is the caller's after the call, also after a block raises.
+    """
+    model = ModelParams(a=0.0, sigma1=0.5, sigma2=0.0)
+    args = (0.3, [0.0, 0.5, 1.0], model, pay(), 0.05, 200)
+    monkeypatch.setenv("STUBBORN_THREADS", "1")
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        caller = np.geterr()
+        free, half, full = expected_payoffs(*args, seed=17)
+        assert np.geterr() == caller
+        assert free.clamp_fraction > 0.1 and free.invalid_fraction == 0.0
+        assert half.invalid_fraction > 0.1 and full.invalid_fraction > 0.1
+        assert all(math.isfinite(est.mean) for est in (free, half, full))
+
+        steps = dynamics._em_steps
+
+        def failing_steps(*step_args, **kwargs):
+            # from step 5 on, a sqrt(x) that the cost's divide cannot broadcast
+            for j, (s_j, x, u, x_next, hit, sq) in enumerate(steps(*step_args, **kwargs)):
+                yield s_j, x, u, x_next, hit, (sq if j < 5 else sq[:, :0])
+
+        monkeypatch.setattr(dynamics, "_em_steps", failing_steps)
+        with pytest.raises(ValueError):
+            expected_payoffs(*args, seed=17)
+        assert np.geterr() == caller
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_control_array_equals_single_control_runs(monkeypatch, threads):
     # the u grid array that `sweep` passes unchanged; 21 controls in blocks
@@ -209,6 +242,11 @@ def reference_accumulation(x0, controls, model, p, dt, n_paths, seed):
 @example(
     controls=[0.0, 0.5, 0.0, 1.0], starts=[0.0, 0.0, 0.4, 0.02], per_row=True,
     sigma1=1.0, c=1.0, mu_bar=0.0, n_paths=9, block=4, elems=24, threads="2", seed=5,
+)
+# paths from 0.4 that reach x = 0 mid-run, under u = 0 and u > 0 in one block
+@example(
+    controls=[0.0, 1.0, 0.1], starts=[0.4, 0.0, 0.0, 0.0], per_row=False,
+    sigma1=1.0, c=2.5, mu_bar=0.0, n_paths=12, block=8, elems=24, threads="2", seed=5,
 )
 def test_accumulation_equals_written_out_payoff(
     controls, starts, per_row, sigma1, c, mu_bar, n_paths, block, elems,
