@@ -14,18 +14,25 @@ _mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
 several steps per call, as one (S, m) array for S steps of the block's m
 paths, with the same operations in the same order on every element, so
 each row equals its step's `step_normals` bit for bit.
-Box-Muller takes cos(2 pi u2) as (1 - t^2)/(1 + t^2) with t = tan(pi u2):
-with numpy 2.4 on AVX-512, float64 `np.tan` is SIMD while `np.cos` is
-scalar libm, and a normal costs 18 ns instead of 32 ns (1560 paths x 21
-steps on a 2-vCPU Xeon).  The draws agree with the `np.cos` form to 1e-15
-absolute.  Where numpy has no SIMD tan (no AVX-512) it falls back to libm
-and the gain shrinks; the bits are reproducible on any one machine, as
-they already are with `np.log`'s SIMD dispatch.
+Steps 2i and 2i+1 share one Box-Muller pair i: the two SplitMix64 words
+of pair i give u1 and u2, step 2i takes r*cos(2 pi u2) and step 2i+1
+r*sin(2 pi u2), r = sqrt(-2 log u1), two independent normals (Box and
+Muller 1958).  Both come from t = tan(pi u2), as r*(1 - t^2)/(1 + t^2)
+and r*2t/(1 + t^2): with numpy 2.4 on AVX-512, float64 `np.tan` is SIMD
+while `np.cos` and `np.sin` are scalar libm.  A normal costs 9 ns in
+16384-path draws and 11 ns in 1560-path x 21-step ones, against 16 and
+18 ns when each step took the cosine of a pair of its own (2-vCPU Xeon).
+The draws agree with the libm cos and sin forms to 1e-15 absolute.  Where
+numpy has no SIMD tan (no AVX-512) it falls back to libm and the gain
+shrinks; the bits are reproducible on any one machine, as they already
+are with `np.log`'s SIMD dispatch.
 S = `_draw_steps(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
 at the run's steps: 2 steps for 16384 paths, 21 for the 1560-path blocks
 of a 21-control sweep, every step of an `optimize` ranking block; the
-last call is cut at n_steps.  The draw buffers hold S steps, so a block
-whose S is its step count holds no step it never runs (on the perfbench
+last call is cut at n_steps; a call that starts or ends mid-pair
+computes that pair whole.  The draw buffers hold the S // 2 + 1 pairs a
+call can touch, so a block whose S is its step count holds at most one
+step it never runs (on the perfbench
 `feedback_grid` optimize, sizing them by the normals cap alone raised
 the process's peak RSS by 0.45 MB).  One step per call made
 a perfbench `mc_sweep` sweep slower on worker processes (1.32 against
@@ -38,11 +45,15 @@ worker processes.  `_workers` is the only place that forks; the other
 fan-out through it is `_ordered_map`, on which `simulate` formats
 paths.csv.
 The step runs in place on a few arrays allocated once per block (its
-noise draws too), in the rounding order of
-x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, with
-sqrt(x) and sigma2*x computed once; it yields that sqrt(x), which the
-payoff's cost term reuses.  Every output is bit-identical to the step
-written with `drift` and `diffusion`.
+noise draws too).  Once per path and step it forms the rows
+sigma1*sqrt(dt)*w and 1 - sigma2*dt - sigma2*sqrt(dt)*w, then steps every
+control's element as
+x_next = (a*dt)*sqrt(x) + (sigma1*sqrt(dt)*w - u*dt) + x*(1 - sigma2*dt - sigma2*sqrt(dt)*w)
+in that rounding order: nine array operations per element where the
+drift/diffusion order x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w took
+thirteen, and within 1e-14 of that order's terms.  It yields sqrt(x),
+which the payoff's cost term reuses.  Every output is bit-identical to
+the step written out in this grouping.
 The simulators here (`simulate_batch` stores whole paths, `simulate_final`
 keeps only the final states), `payoff.expected_payoffs` and
 `feynman_kac.fk_estimate` are per-step accumulators over those two
@@ -139,23 +150,30 @@ def _step_draws(
     """Standard-normal draws at steps first_step..first_step+n_steps-1.
 
     Row i of the (n_steps, len(keys)) result holds step first_step+i for
-    the paths with these keys.  Box-Muller (`_box_muller`, its cosine
-    from tan) on two SplitMix64 outputs per path and step, computed in
-    place; every element sees the same operations as in a one-step draw,
-    so rows do not depend on n_steps.  work is a uint64 array of shape
-    (3, >= n_steps, len(keys)) that the draw overwrites: its planes hold
-    the mixed words, u2 and u1, and the first becomes the transform's
-    spare buffer once both uniforms are out.  The result is a float64
-    view of the last plane; work is a fresh array when it is None.
+    the paths with these keys.  Steps 2i and 2i+1 share pair i: two
+    SplitMix64 outputs per path give u1 and u2, and `_box_muller` turns
+    them into the cosine normal (step 2i) and the sine normal (step
+    2i+1).  A call that starts or ends mid-pair computes that pair whole;
+    every element sees the same operations whatever the call, so rows do
+    not depend on first_step or n_steps.  work is a uint64 array of shape
+    (2, >= 2P, len(keys)) for the P pairs the call touches (at most
+    n_steps // 2 + 1), which the draw overwrites: plane 0 holds u1 and
+    u2, plane 1 the mixed words and then the normals, cosine and sine
+    rows interleaved.  The result is a float64 view of plane 1, so plane
+    0 is free again once the call returns.  work is a fresh array when it
+    is None.
     """
+    first_pair = first_step // 2
+    n_pairs = (first_step + n_steps - 1) // 2 - first_pair + 1
     if work is None:
-        work = np.empty((3, n_steps, len(keys)), np.uint64)
-    z, t, u1 = work[0, :n_steps], work[1, :n_steps], work[2, :n_steps].view(np.float64)
-    steps = range(first_step, first_step + n_steps)
+        work = np.empty((2, 2 * n_pairs, len(keys)), np.uint64)
+    u1, u2 = work[0, :n_pairs].view(np.float64), work[0, n_pairs : 2 * n_pairs].view(np.float64)
+    z, t = work[1, :n_pairs], work[1, n_pairs : 2 * n_pairs]
+    pairs = range(first_pair, first_pair + n_pairs)
     # Offsets wrap in Python int space; numpy scalar uint64 multiplies would
     # emit spurious overflow warnings.
-    odd = np.array([(_GOLDEN_INT * (2 * j + 1)) & _MASK for j in steps], dtype=np.uint64)
-    even = np.array([(_GOLDEN_INT * (2 * j + 2)) & _MASK for j in steps], dtype=np.uint64)
+    odd = np.array([(_GOLDEN_INT * (2 * i + 1)) & _MASK for i in pairs], dtype=np.uint64)
+    even = np.array([(_GOLDEN_INT * (2 * i + 2)) & _MASK for i in pairs], dtype=np.uint64)
     _mix64(np.add(keys, odd.reshape(-1, 1), out=z), t)
     z >>= np.uint64(11)
     # u1 in (0, 1] keeps the log finite; u2 in [0, 1).
@@ -164,31 +182,44 @@ def _step_draws(
     u1 *= _INV53
     _mix64(np.add(keys, even.reshape(-1, 1), out=z), t)
     z >>= np.uint64(11)
-    u2 = t.view(np.float64)
     u2[...] = z
     u2 *= _INV53
-    return _box_muller(u1, u2, z.view(np.float64))
+    normals = work[1, : 2 * n_pairs].view(np.float64)
+    interleaved = normals.reshape(n_pairs, 2, len(keys))
+    _box_muller(u1, u2, interleaved[:, 0], interleaved[:, 1])
+    offset = first_step - 2 * first_pair
+    return normals[offset : offset + n_steps]
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    """sqrt(-2 log u1) * cos(2 pi u2), in place on u1 in (0, 1]; returns u1.
+def _box_muller(
+    u1: np.ndarray, u2: np.ndarray, cos: np.ndarray, sin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both Box-Muller normals of the uniforms u1 in (0, 1] and u2 in [0, 1).
 
-    u2 in [0, 1) and spare, a float64 array of its shape, are overwritten.
-    The cosine is (1 - t^2)/(1 + t^2) with t = tan(pi u2) (see the module
-    docstring for the cost).  At u2 = 1/2, the pole of tan, t is about
-    1.6e16, since pi/2 rounds below the pole, and the quotient is -1.
+    With r = sqrt(-2 log u1) and t = tan(pi u2), writes
+    r*cos(2 pi u2) = (r/(1 + t^2))*(1 - t^2) into cos and
+    r*sin(2 pi u2) = (r/(1 + t^2))*(2t) into sin, and returns (cos, sin);
+    u1 and u2 are overwritten.  One log, sqrt and tan serve two normals,
+    and tan is SIMD where numpy has it while cos and sin are scalar libm
+    (see the module docstring).  No step reads one of cos and sin while
+    writing the other: numpy copies an operand that may overlap its
+    output, and the engine interleaves the two in one buffer.  At
+    u2 = 1/2, the pole of tan, t is about 1.6e16, since pi/2 rounds below
+    the pole, and the pair is (-r, about 1.2e-16 r).
     """
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
     u2 *= np.pi
     np.tan(u2, out=u2)
-    np.multiply(u2, u2, out=spare)
-    np.subtract(1.0, spare, out=u2)
-    spare += 1.0
-    u2 /= spare
-    u1 *= u2
-    return u1
+    np.add(u2, u2, out=sin)
+    u2 *= u2
+    np.subtract(1.0, u2, out=cos)
+    u2 += 1.0
+    u1 /= u2
+    cos *= u1
+    sin *= u1
+    return cos, sin
 
 
 def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndarray:
@@ -266,36 +297,42 @@ def _em_steps(
     starts = np.asarray(x0, dtype=np.float64)
     if starts.ndim and starts.shape != (len(u),):
         raise ValueError(f"x0 holds {starts.size} start states for {len(u)} controls")
-    a, sigma1, sigma2 = model.a, model.sigma1, model.sigma2
+    # The step's constants: a*dt, u*dt per row, and the factors of the
+    # noise rows sigma1*sqrt(dt)*w and 1 - sigma2*dt - sigma2*sqrt(dt)*w.
     sqrt_dt = math.sqrt(dt)
+    a_dt, u_dt = model.a * dt, u * dt
+    shock_scale, decay = model.sigma1 * sqrt_dt, 1.0 - model.sigma2 * dt
+    decay_scale = model.sigma2 * sqrt_dt
     keys = _path_keys(seed, first_path, n_paths)
     chunk = _draw_steps(n_paths, n_steps)
-    work = np.empty((3, chunk, n_paths), np.uint64)  # the noise draws' buffers
+    work = np.empty((2, 2 * (chunk // 2 + 1), n_paths), np.uint64)  # the draws' buffers
+    shocks = work[0].view(np.float64)  # the draws' uniforms plane, free between draws
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
-    x_next, sq, sx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    x_next, sq, term = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     hit = np.empty(x.shape, dtype=bool)
     for j in range(n_steps):
         if j % chunk == 0:
-            noise = _step_draws(keys, j, min(chunk, n_steps - j), work)
-        w = noise[j % chunk]
-        # The update x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w in its
+            # Once per path and step: the shock row sigma1*sqrt(dt)*w, and
+            # the draws become the growth row 1 - sigma2*dt - sigma2*sqrt(dt)*w.
+            growths = _step_draws(keys, j, min(chunk, n_steps - j), work)
+            np.multiply(growths, shock_scale, out=shocks[: len(growths)])
+            growths *= decay_scale
+            np.subtract(decay, growths, out=growths)
+        shock, growth = shocks[j % chunk], growths[j % chunk]
+        # x_next = (a*dt)*sqrt(x) + (shock - u*dt) + x*growth, in that
         # rounding order, in place.  Clamped states are never negative, so
         # only the raw recursion and a start state need max(x, 0).
         if clamp and j:
             np.sqrt(x, out=sq)
         else:
             np.sqrt(np.maximum(x, 0.0, out=sq), out=sq)
-        np.multiply(x, sigma2, out=sx)
-        np.multiply(sq, a, out=x_next)
-        x_next -= sx
-        x_next -= u
-        x_next *= dt
-        x_next += x
-        np.subtract(sigma1, sx, out=sx)
-        sx *= sqrt_dt
-        sx *= w
-        x_next += sx
+        np.multiply(sq, a_dt, out=x_next)
+        term[...] = shock  # then in place: faster than a row-minus-column ufunc
+        term -= u_dt
+        x_next += term
+        np.multiply(x, growth, out=term)
+        x_next += term
         np.less(x_next, 0.0, out=hit)
         if clamp:
             np.maximum(x_next, 0.0, out=x_next)

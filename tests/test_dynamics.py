@@ -326,30 +326,39 @@ def test_noise_is_random_access():
     seed=st.integers(0, 2**64 - 1),
     first_path=st.integers(0, 2**40),
     n_paths=st.integers(1, 40),
-    n_steps=st.sampled_from([5, 7, 10]),
-    chunk=st.sampled_from(["one", "non-divisor", "longer"]),
+    first_step=st.integers(0, 7),
+    n_steps=st.sampled_from([1, 2, 5, 7, 10]),
+    chunk=st.sampled_from(["one", "two", "non-divisor", "longer"]),
 )
-def test_multi_step_draw_equals_step_normals(seed, first_path, n_paths, n_steps, chunk):
+def test_multi_step_draw_equals_step_normals(
+    seed, first_path, n_paths, first_step, n_steps, chunk
+):
     """Each row of a several-step draw is that step's `step_normals`, bit for bit.
 
-    The steps are drawn in chunks as `_em_steps` does, the last cut at n_steps.
+    The steps from first_step on are drawn in chunks as `_em_steps` does,
+    the last cut at n_steps; an odd first_step, chunk or n_steps makes a
+    call start or end mid-pair.
     """
-    size = {"one": 1, "non-divisor": 3, "longer": n_steps + 4}[chunk]
+    size = {"one": 1, "two": 2, "non-divisor": 3, "longer": n_steps + 4}[chunk]
     keys = dynamics._path_keys(seed, first_path, n_paths)
     rows = []
-    for first in range(0, n_steps, size):
-        draw = dynamics._step_draws(keys, first, min(size, n_steps - first))
-        assert draw.shape == (min(size, n_steps - first), n_paths)
+    for first in range(first_step, first_step + n_steps, size):
+        n = min(size, first_step + n_steps - first)
+        draw = dynamics._step_draws(keys, first, n)
+        assert draw.shape == (n, n_paths)
         rows.extend(draw)
     assert len(rows) == n_steps
-    for j, row in enumerate(rows):
+    for j, row in enumerate(rows, start=first_step):
         assert np.array_equal(row, step_normals(seed, first_path, n_paths, j)), j
 
 
 def test_noise_is_standard_normal():
     import scipy.stats
 
-    draws = np.concatenate([step_normals(314, 0, 250_000, j) for j in range(4)])
+    steps = [step_normals(314, 0, 250_000, j) for j in range(4)]
+    # each call returns memory of its own: no later call overwrites a draw
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(steps) for b in steps[:i])
+    draws = np.concatenate(steps)
     n = len(draws)
     assert abs(draws.mean()) <= 3.5 / math.sqrt(n)
     assert abs(draws.std() - 1.0) <= 3.5 / math.sqrt(2 * n)
@@ -358,9 +367,16 @@ def test_noise_is_standard_normal():
     ks = scipy.stats.kstest(draws[:200_000], "norm")
     assert ks.pvalue > 1e-4, ks
 
-    # correlations across steps and across paths stay at noise level
+    # the two normals of a pair (steps 2i and 2i+1) are independent: their
+    # correlation and the correlation of their squares stay at noise level
+    cosines, sines = np.concatenate(steps[0::2]), np.concatenate(steps[1::2])
+    pairs = len(cosines)
+    assert abs(np.corrcoef(cosines, sines)[0, 1]) <= 4.0 / math.sqrt(pairs)
+    assert abs(np.corrcoef(cosines**2, sines**2)[0, 1]) <= 4.0 / math.sqrt(pairs)
+
+    # correlations across pairs and across paths stay at noise level
     across_steps = np.corrcoef(
-        step_normals(314, 0, 200_000, 0), step_normals(314, 0, 200_000, 1)
+        step_normals(314, 0, 200_000, 1), step_normals(314, 0, 200_000, 2)
     )[0, 1]
     across_paths = np.corrcoef(
         step_normals(314, 0, 100_000, 5), step_normals(314, 100_000, 100_000, 5)
@@ -379,50 +395,65 @@ def splitmix64(z):
 
 
 def libm_box_muller(u1, u2):
-    """Box-Muller with the cosine taken directly: sqrt(-2 log u1) * cos(2 pi u2)."""
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    """Both Box-Muller normals with libm's cos and sin taken directly:
+    sqrt(-2 log u1) * cos(2 pi u2) and sqrt(-2 log u1) * sin(2 pi u2)."""
+    radius, angle = np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 def test_draw_matches_box_muller_with_libm_cos():
-    """The engine's draw agrees with Box-Muller written with np.cos to 1e-15.
+    """The engine's draws agree with Box-Muller written with np.cos and np.sin to 1e-15.
 
     The uniforms come from SplitMix64 written out here: key
-    mix(seed + GOLDEN*(path+1)), then mix(key + GOLDEN*(2j+1)) for u1 and
-    mix(key + GOLDEN*(2j+2)) for u2 at step j, each shifted to 53 bits.
-    Then the transform alone on the edge uniforms u2 = 0, 1/4, 1/2 (the
-    pole of tan(pi u2)), 3/4 and 1 - 2^-53, from the largest radius down.
+    mix(seed + GOLDEN*(path+1)), then mix(key + GOLDEN*(2i+1)) for u1 and
+    mix(key + GOLDEN*(2i+2)) for u2 of pair i, each shifted to 53 bits.
+    Step 2i is the pair's cosine normal and step 2i+1 its sine normal,
+    1e6 draws in all.  Then the transform alone on the edge uniforms
+    u2 = 0, 1/4, 1/2 (the pole of tan(pi u2)), 3/4 and 1 - 2^-53, from the
+    largest radius down.
     """
     golden, mask, inv53 = 0x9E3779B97F4A7C15, 2**64 - 1, 2.0**-53
     seed, n_paths = 2718, 250_000
     paths = np.arange(1, n_paths + 1, dtype=np.uint64)
     keys = splitmix64(paths * np.uint64(golden) + np.uint64(seed))
     worst = 0.0
-    for j in range(4):
-        u1 = splitmix64(keys + np.uint64(golden * (2 * j + 1) & mask)) >> np.uint64(11)
-        u2 = splitmix64(keys + np.uint64(golden * (2 * j + 2) & mask)) >> np.uint64(11)
-        want = libm_box_muller((u1.astype(np.float64) + 1.0) * inv53, u2.astype(np.float64) * inv53)
-        got = step_normals(seed, 0, n_paths, j)
-        assert np.isfinite(got).all(), j
-        worst = max(worst, float(np.abs(got - want).max()))
+    for i in range(2):
+        u1 = splitmix64(keys + np.uint64(golden * (2 * i + 1) & mask)) >> np.uint64(11)
+        u2 = splitmix64(keys + np.uint64(golden * (2 * i + 2) & mask)) >> np.uint64(11)
+        pair = libm_box_muller((u1.astype(np.float64) + 1.0) * inv53, u2.astype(np.float64) * inv53)
+        for j, want in zip((2 * i, 2 * i + 1), pair):
+            got = step_normals(seed, 0, n_paths, j)
+            assert np.isfinite(got).all(), j
+            worst = max(worst, float(np.abs(got - want).max()))
     assert worst <= 1e-15, worst
 
     edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
     u1_values = np.array([2.0**-53, 1e-3, 0.5, 1.0])  # radius 8.57 down to 0
     u1, u2 = (a.ravel() for a in np.meshgrid(u1_values, edges))
     want = libm_box_muller(u1, u2)
-    got = dynamics._box_muller(u1.copy(), u2.copy(), np.empty_like(u2))
-    assert np.isfinite(got).all(), got
-    assert np.abs(got - want).max() <= 1e-15, np.abs(got - want).max()
+    got = dynamics._box_muller(u1.copy(), u2.copy(), np.empty_like(u1), np.empty_like(u1))
+    for want_normals, got_normals in zip(want, got, strict=True):
+        assert np.isfinite(got_normals).all(), got_normals
+        assert np.abs(got_normals - want_normals).max() <= 1e-15, got_normals - want_normals
 
 
 def test_zero_noise_matches_explicit_euler():
+    """With sigma1 = sigma2 = 0 the engine's step is (a*dt)*sqrt(x) + (0 - u*dt) + x*1.
+
+    That is the engine's grouping with its noise rows sigma1*sqrt(dt)*w = 0
+    and 1 - sigma2*dt - sigma2*sqrt(dt)*w = 1, bit for bit.  From the same
+    state it agrees with the explicit Euler step x + drift(x, u)*dt to 1e-14
+    relative.
+    """
     model = ModelParams(a=0.7, sigma1=0.0, sigma2=0.0)
-    u = 0.2
-    states = simulate_batch(1.0, u, model, 0.01, 1.0, 0, 1)[0][0]
+    u, dt = 0.2, 0.01
+    states = simulate_batch(1.0, u, model, dt, 1.0, 0, 1)[0][0]
     x = 1.0
     for k in range(100):
-        x = x + (model.a * math.sqrt(x) - model.sigma2 * x - u) * 0.01
+        euler = x + (model.a * math.sqrt(x) - model.sigma2 * x - u) * dt
+        x = (model.a * dt) * math.sqrt(x) + (0.0 - u * dt) + x * 1.0
         assert states[k + 1] == x
+        assert abs(x - euler) <= 1e-14 * x, k
 
 
 def test_zero_drift_martingale_mean():
@@ -502,10 +533,27 @@ def test_marginal_density_matches_histogram():
 
 
 def reference_step(x, u, model, dt, w, clamp):
-    """The Euler-Maruyama step written out with `drift` and `diffusion`."""
-    raw = x + drift(x, u, model) * dt + diffusion(x, model) * math.sqrt(dt) * w
+    """The Euler-Maruyama step written out in the engine's grouping:
+    (a*dt)*sqrt(x) + (sigma1*sqrt(dt)*w - u*dt) + x*(1 - sigma2*dt - sigma2*sqrt(dt)*w)."""
+    sqrt_dt = math.sqrt(dt)
+    raw = (
+        (model.a * dt) * np.sqrt(np.maximum(x, 0.0))
+        + ((model.sigma1 * sqrt_dt) * w - u * dt)
+        + x * ((1.0 - model.sigma2 * dt) - (model.sigma2 * sqrt_dt) * w)
+    )
     hit = raw < 0.0
     return (np.maximum(raw, 0.0) if clamp else raw), hit
+
+
+def drift_diffusion_step(x, u, model, dt, w):
+    """The raw step x + drift(x, u)*dt + diffusion(x)*sqrt(dt)*w, and the sum of
+    its terms' magnitudes, which bounds the rounding of any grouping of them."""
+    scale = (
+        np.abs(x)
+        + (model.a * np.sqrt(np.maximum(x, 0.0)) + model.sigma2 * np.abs(x) + u) * dt
+        + (model.sigma1 + model.sigma2 * np.abs(x)) * math.sqrt(dt) * np.abs(w)
+    )
+    return x + drift(x, u, model) * dt + diffusion(x, model) * math.sqrt(dt) * w, scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -548,6 +596,14 @@ def reference_step(x, u, model, dt, w, clamp):
     a=2.0, sigma1=1.5, sigma2=0.5, dt=0.05, first_path=12345, n_paths=7, block=3,
     elems=15, seed=2**64 - 1,
 )
+# no noise, and the raw update from 0.01 is 0.01 - 0.0125 + 0.0025: the
+# drift/diffusion grouping rounds it to -1.7e-18 and clamps, the engine's
+# grouping to exactly 0
+@example(
+    controls=[0.25], starts=[0.01, 0.0, 0.0], per_row=False, clamp=True,
+    a=0.5, sigma1=0, sigma2=0, dt=0.05, first_path=0, n_paths=2, block=8,
+    elems=24, seed=0,
+)
 def test_engine_step_equals_written_out_step(
     controls, starts, per_row, clamp, a, sigma1, sigma2, dt, first_path, n_paths,
     block, elems, seed,
@@ -555,7 +611,8 @@ def test_engine_step_equals_written_out_step(
     """Every block's x_next, hit and sqrt(x) equal the written-out step bit for bit.
 
     The oracle draws each step through `step_normals`, the definition of
-    the stream, from the engine's own state, so each step is checked alone.
+    the stream, from the engine's own state, so each step is checked alone,
+    also against the drift/diffusion grouping of the same step.
     """
     model = ModelParams(a=a, sigma1=sigma1, sigma2=sigma2)
     x0 = starts[: len(controls)] if per_row else starts[0]
@@ -575,6 +632,15 @@ def test_engine_step_equals_written_out_step(
             want_next, want_hit = reference_step(x, u, model, dt, w, clamp)
             assert np.array_equal(x_next, want_next, equal_nan=True), (j, x_next, want_next)
             assert np.array_equal(hit, want_hit), j
+            # the drift/diffusion grouping agrees to 1e-14 of its terms'
+            # magnitudes, and clamps the same elements wherever its raw
+            # update lies farther than that from 0 (within it, rounding
+            # decides the sign in either grouping)
+            raw, scale = drift_diffusion_step(x, u, model, dt, w)
+            old_next = np.maximum(raw, 0.0) if clamp else raw
+            assert (np.abs(x_next - old_next) <= 1e-14 * scale).all(), j
+            decided = np.abs(raw) > 1e-14 * scale
+            assert np.array_equal(hit[decided], (raw < 0.0)[decided]), j
             assert np.array_equal(sq, np.sqrt(np.maximum(x, 0.0)), equal_nan=True), j
         seen.append((lo, n))
 

@@ -194,34 +194,47 @@ def test_stationarity_validates_bracket():
 def reference_accumulation(x0, controls, model, p, dt, n_paths, seed):
     """Per-path totals, clamp and invalid flags, written out step by step.
 
-    The cost term takes its own sqrt(x) off the boundary; the step is
-    x + drift*dt + diffusion*sqrt(dt)*w, clamped at 0.
+    With d_j = e^{-r s_j}*dt, gain sums d_j*x and drag sums d_j/sqrt(x);
+    the total is reward*gain - (c*u^2/(r - mu_bar))*drag + bonus*sqrt(x_n),
+    with drag read as 0 on paths that ever sat at x <= 0.  The step is the
+    engine's grouping (a*dt)*sqrt(x) + (sigma1*sqrt(dt)*w - u*dt)
+    + x*(1 - sigma2*dt - sigma2*sqrt(dt)*w), clamped at 0.  Also returns the
+    old per-step sum of (e^{-r s_j}*(reward*x - cost))*dt on the same
+    states, and the sum of its terms' magnitudes.
     """
     k = p.c / (p.r - p.mu_bar)
     bonus = p.omega * math.exp(-p.r * p.horizon)
+    sqrt_dt = math.sqrt(dt)
     u = np.clip(np.asarray(controls, dtype=np.float64), 0.0, 1.0).reshape(-1, 1)
     x = np.empty((len(u), n_paths))
     x[...] = np.reshape(x0, (-1, 1))
-    running = np.zeros(x.shape)
+    gain, drag = np.zeros(x.shape), np.zeros(x.shape)
+    running, scale = np.zeros(x.shape), np.zeros(x.shape)
     clamped = np.zeros(x.shape, dtype=bool)
-    invalid = np.zeros(x.shape, dtype=bool)
+    ever_zero = np.zeros(x.shape, dtype=bool)
     for j in range(n_steps_for(p.horizon, dt)):
         s_j = j * dt
+        weight = math.exp(-p.r * s_j) * dt
         at_zero = x <= 0.0
-        invalid |= at_zero & (u > 0.0)
-        running += (
-            math.exp(-p.r * s_j)
-            * (
-                p.reward_coeff * x
-                - np.where(at_zero, 0.0, k * u * u / np.sqrt(np.where(at_zero, 1.0, x)))
-            )
-            * dt
-        )
+        ever_zero |= at_zero
+        gain += weight * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            drag += weight / np.sqrt(np.maximum(x, 0.0))
+        cost = np.where(at_zero, 0.0, k * u * u / np.sqrt(np.where(at_zero, 1.0, x)))
+        running += math.exp(-p.r * s_j) * (p.reward_coeff * x - cost) * dt
+        scale += weight * (abs(p.reward_coeff) * x + cost)
         w = step_normals(seed, 0, n_paths, j)
-        raw = x + drift(x, u, model) * dt + diffusion(x, model) * math.sqrt(dt) * w
+        raw = (
+            (model.a * dt) * np.sqrt(x)
+            + ((model.sigma1 * sqrt_dt) * w - u * dt)
+            + x * ((1.0 - model.sigma2 * dt) - (model.sigma2 * sqrt_dt) * w)
+        )
         clamped |= raw < 0.0
         x = np.maximum(raw, 0.0)
-    return running + bonus * np.sqrt(x), clamped, invalid
+    drag[ever_zero] = 0.0
+    totals = p.reward_coeff * gain - k * u * u * drag + bonus * np.sqrt(x)
+    old_totals = running + bonus * np.sqrt(x)
+    return totals, clamped, ever_zero & (u > 0.0), old_totals, scale + bonus * np.sqrt(x)
 
 
 @settings(max_examples=30, deadline=None)
@@ -231,6 +244,7 @@ def reference_accumulation(x0, controls, model, p, dt, n_paths, seed):
     per_row=st.booleans(),
     sigma1=st.sampled_from([0.0, 0.3, 1.0]),
     c=st.sampled_from([0.0, 1.0, 2.5]),
+    r=st.sampled_from([0.5, 800.0]),
     mu_bar=st.sampled_from([-0.3, 0.0, 0.2]),
     n_paths=st.integers(1, 30),
     block=st.integers(1, 8),
@@ -241,21 +255,33 @@ def reference_accumulation(x0, controls, model, p, dt, n_paths, seed):
 # starts at x0 = 0 under u = 0 (valid, no cost) and under u > 0 (invalid)
 @example(
     controls=[0.0, 0.5, 0.0, 1.0], starts=[0.0, 0.0, 0.4, 0.02], per_row=True,
-    sigma1=1.0, c=1.0, mu_bar=0.0, n_paths=9, block=4, elems=24, threads="2", seed=5,
+    sigma1=1.0, c=1.0, r=0.5, mu_bar=0.0, n_paths=9, block=4, elems=24, threads="2", seed=5,
 )
 # paths from 0.4 that reach x = 0 mid-run, under u = 0 and u > 0 in one block
 @example(
     controls=[0.0, 1.0, 0.1], starts=[0.4, 0.0, 0.0, 0.0], per_row=False,
-    sigma1=1.0, c=2.5, mu_bar=0.0, n_paths=12, block=8, elems=24, threads="2", seed=5,
+    sigma1=1.0, c=2.5, r=0.5, mu_bar=0.0, n_paths=12, block=8, elems=24, threads="2", seed=5,
+)
+# without noise, rows from x0 = 0 sit at 0 throughout; at r = 800,
+# e^{-r s_j}*dt underflows to 0 from s_j = 0.95 on, so their d_j/sqrt(x) is
+# 0/0 there, beside a row from 0.4 that stays off the boundary
+@example(
+    controls=[0.0, 1.0, 0.5], starts=[0.0, 0.0, 0.4, 0.0], per_row=True,
+    sigma1=0.0, c=1.0, r=800.0, mu_bar=0.0, n_paths=5, block=4, elems=24, threads="2", seed=5,
 )
 def test_accumulation_equals_written_out_payoff(
-    controls, starts, per_row, sigma1, c, mu_bar, n_paths, block, elems,
+    controls, starts, per_row, sigma1, c, r, mu_bar, n_paths, block, elems,
     threads, seed,
 ):
     """expected_payoffs' per-path totals and invalid flags equal the written-out
-    sum bit for bit, and its clamped-path counts count the written-out flags."""
+    sum bit for bit, and its clamped-path counts count the written-out flags.
+
+    On valid paths the totals also agree with the old per-step sum
+    (e^{-r s_j}*(reward*x - cost))*dt over the same states to 1e-14 of the
+    sum of its terms' magnitudes.
+    """
     model = ModelParams(a=0.5, sigma1=sigma1, sigma2=0.2)
-    p = pay(c=c, mu_bar=mu_bar, horizon=0.5)
+    p = pay(c=c, r=r, mu_bar=mu_bar, horizon=1.0)
     x0 = starts[: len(controls)] if per_row else starts[0]
     want = reference_accumulation(x0, controls, model, p, 0.05, n_paths, seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -266,11 +292,15 @@ def test_accumulation_equals_written_out_payoff(
         mp.setenv("STUBBORN_THREADS", threads)
         got = expected_payoffs(x0, controls, model, p, 0.05, n_paths, seed)
     assert len(got) == len(controls)
-    want_totals, want_clamped, want_invalid = want
+    want_totals, want_clamped, want_invalid, old_totals, scale = want
     for i, (totals, clamped, invalid) in enumerate(got):
         assert np.array_equal(want_totals[i], totals, equal_nan=True), (i, controls)
         assert clamped == np.count_nonzero(want_clamped[i]), (i, controls)
         assert np.array_equal(want_invalid[i], invalid), (i, controls)
+        valid = ~invalid
+        assert np.isfinite(totals[valid]).all(), (i, controls)
+        error = np.abs(totals[valid] - old_totals[i][valid])
+        assert (error <= 1e-14 * scale[i][valid]).all(), (i, controls, error)
 
 
 def test_estimate_reduces_the_valid_paths_only():
