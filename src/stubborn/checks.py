@@ -5,9 +5,9 @@ values) and reports measured errors.
 
 These back the `validate` CLI command and are reused by the test suite.
 All suites are deterministic for a fixed seed.  The scenarios come from
-`_Uniforms`, a pure-Python replica of `np.random.default_rng(seed).uniform`
-that draws the same floats bit for bit, so no command imports
-`numpy.random` (which stays resident at about 6 MB once imported).
+`_Uniforms`, a counter stream built from the engine's SplitMix64 mixing,
+so the package has one random-number construction and no command
+imports `numpy.random` (which stays resident at about 6 MB once imported).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .control import (
     solve_quartic,
 )
 from .density import gaussian_integral_closed
+from .dynamics import _mix64, _path_keys
 from .feynman_kac import FKProblem, fk_estimate
 from .lagrangian import _scaled_error, derivative_gap, derivatives, finite_difference_check
 from .model import LagrangeParams, ModeFlags, ModelParams, PayoffParams, State
@@ -48,67 +49,31 @@ TRIVIAL_SCENARIOS = 100  # scenarios of the trivial-root suite
 ROOT_SCENARIOS = 50  # scenarios of the root-residual suite
 
 
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_STREAM = np.uint64(0xD1B54A32D192ED03)  # the scenario words' offset from a path key
+_DRAW_BLOCK = 256  # words per `_mix64` call
 
 
 class _Uniforms:
-    """The draws of `np.random.default_rng(seed).uniform(lo, hi)`, bit for bit.
+    """Uniform draws from the engine's counter construction.
 
-    numpy's default generator is PCG64 (O'Neill, "PCG: A family of simple
-    fast space-efficient statistically good algorithms for random number
-    generation", HMC-CS-2014-0905) seeded through `SeedSequence`.  The
-    seed's 32-bit words, least significant first, are hash-mixed into a
-    pool of four words; eight hashed pool words give the 128-bit start
-    state and stream; each draw advances the 128-bit LCG and outputs the
-    XSL-RR 64-bit word, whose top 53 bits scale [lo, hi).  Seeds are
-    nonnegative integers, as `numerics.seed` is.
+    Draw i under a seed is the top 53 bits of
+    `_mix64(_path_keys(seed, i, 1) + _STREAM)` times 2**-53: a pure
+    function of (seed, i), as the engine's noise is of (seed, path, step)
+    (Salmon et al., SC'11; Steele, Lea & Flood, OOPSLA'14).  The engine
+    mixes a path key with small multiples of the golden step, never with
+    _STREAM, so these words are apart from its noise.  Seeds wrap modulo
+    2**64, as `_path_keys` takes them.  The words are mixed _DRAW_BLOCK at
+    a time and handed out as Python ints, so a draw costs no numpy op.
     """
 
     def __init__(self, seed: int) -> None:
-        words = [seed >> 32 * i & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-        const = 0x43B0D7E5
-
-        def hashmix(value: int) -> int:
-            nonlocal const
-            value ^= const
-            const = const * 0x931E8875 & _MASK32
-            value = value * const & _MASK32
-            return value ^ value >> 16
-
-        def mix(x: int, y: int) -> int:
-            result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-            return result ^ result >> 16
-
-        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word))
-        # SeedSequence.generate_state(4, np.uint64): 8 words, paired low first
-        const = 0x8B51F9DD
-        state = []
-        for i in range(8):
-            value = pool[i % 4] ^ const
-            const = const * 0x58F38DED & _MASK32
-            value = value * const & _MASK32
-            state.append(value ^ value >> 16)
-        w = [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
-        # PCG's srandom: state 0, one step, add the start state, one step
-        self._inc = (w[2] << 65 | w[3] << 1 | 1) & _MASK128
-        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _MASK128
+        self._words = itertools.chain.from_iterable(
+            (_mix64(_path_keys(seed, first, _DRAW_BLOCK) + _STREAM) >> np.uint64(11)).tolist()
+            for first in itertools.count(0, _DRAW_BLOCK)
+        )
 
     def uniform(self, lo: float, hi: float) -> float:
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
-        word = (state >> 64 ^ state) & _MASK64
-        rot = state >> 122
-        word = (word >> rot | word << (-rot & 63)) & _MASK64
-        return lo + (hi - lo) * ((word >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * (next(self._words) * 2.0 ** -53)
 
 
 @dataclass(frozen=True)

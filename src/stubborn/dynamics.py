@@ -27,14 +27,17 @@ numpy has no SIMD tan (no AVX-512) it falls back to libm and the gain
 shrinks; the bits are reproducible on any one machine, as they already
 are with `np.log`'s SIMD dispatch.
 S = `_draw_steps(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
-at the run's steps: 2 steps for 16384 paths, 21 for the 1560-path blocks
-of a 21-control sweep, every step of an `optimize` ranking block; the
-last call is cut at n_steps; a call that starts or ends mid-pair
-computes that pair whole.  The draw buffers hold the S // 2 + 1 pairs a
-call can touch, so a block whose S is its step count holds at most one
-step it never runs (on the perfbench
-`feedback_grid` optimize, sizing them by the normals cap alone raised
-the process's peak RSS by 0.45 MB).  One step per call made
+at the run's steps, and is even below the run's steps: 2 steps for
+16384 paths, 20 for the 1560-path blocks of a 21-control sweep, every
+step of an `optimize` ranking block; the last call is cut at n_steps.
+An even S starts every call on a pair; an odd S would start every other
+call in the middle of a pair that the call before had already computed
+(670,000 pairs for the 500,000 that 10000 paths x 100 steps need at
+S = 3).  A call that starts or ends mid-pair computes that pair whole.
+The draw buffers hold the ceil(S/2) pairs a call can touch, so a block
+whose S is its odd step count holds one step it never runs (on the
+perfbench `feedback_grid` optimize, sizing them by the normals cap alone
+raised the process's peak RSS by 0.45 MB).  One step per call made
 a perfbench `mc_sweep` sweep slower on worker processes (1.32 against
 1.23 s at 1 worker, 0.727 against 0.682 s at 2, medians of 6 alternated
 processes on 2 cores), and an uncapped S slowed one worker.
@@ -305,7 +308,7 @@ def _em_steps(
     decay_scale = model.sigma2 * sqrt_dt
     keys = _path_keys(seed, first_path, n_paths)
     chunk = _draw_steps(n_paths, n_steps)
-    work = np.empty((2, 2 * (chunk // 2 + 1), n_paths), np.uint64)  # the draws' buffers
+    work = np.empty((2, chunk + chunk % 2, n_paths), np.uint64)  # the draws' buffers
     shocks = work[0].view(np.float64)  # the draws' uniforms plane, free between draws
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
@@ -376,10 +379,14 @@ def _draw_steps(n_paths: int, n_steps: int) -> int:
     paths that runs n_steps steps.
 
     At most `_BLOCK_ELEMS` normals, at least one step and at most n_steps
-    per call, so the draw buffers hold no step the block never runs; the
-    manifests of `simulate` and `sweep` record it as `draw_steps`.
+    per call, so the draw buffers hold no step the block never runs.  Below
+    n_steps the count is even, so every call but the first starts on a
+    Box-Muller pair, not in the middle of one that the previous call
+    already computed.  The manifests of `simulate` and `sweep` record it as
+    `draw_steps`.
     """
-    return max(1, min(n_steps, _BLOCK_ELEMS // n_paths))
+    steps = min(n_steps, _BLOCK_ELEMS // n_paths)
+    return max(1, steps if steps == n_steps else steps - steps % 2)
 
 
 def _shared(shape: int | tuple[int, ...], dtype: type = np.float64) -> np.ndarray:

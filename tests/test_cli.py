@@ -1070,8 +1070,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    # validate draws its scenarios from checks._Uniforms, not numpy.random,
-    # which would stay resident for the rest of the process
+    # validate draws its scenarios from checks._Uniforms, the engine's
+    # SplitMix64 counter construction, not from numpy.random, which would
+    # stay resident for the rest of the process
     src = str(Path(stubborn.__file__).resolve().parent.parent)
     doc = dict(MINIMAL, numerics=small_numerics(n_paths=400, dt=0.02))
     config = write_config(tmp_path, doc)

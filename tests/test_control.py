@@ -290,10 +290,36 @@ def test_quartic_roots_satisfy_polynomial():
 
 
 def test_root_suite_draws_no_root_below_the_scan_grid():
-    # check seed 1351 once drew a scenario whose only root, u = 0.001895,
-    # lies below the scan's first grid point 1/512: the scan came back empty
-    # and the suite failed on correct code
+    # under the PCG64 stream that the suites once used, check seed 1351 drew
+    # BELOW_GRID_SCENARIO; the counter stream draws other scenarios here,
+    # and the replay test below keeps that one
     suite = checks.check_root_residuals(seed=1351)
+    assert suite["passed"], suite
+    assert suite["max_closed_vs_scan"] <= checks.AGREE_TOL
+
+
+# The unit draws of a scenario whose only root, u = 0.001895, lies below
+# the scan's first grid point 1/512: were it sampled, the scan would come
+# back empty and the suite would fail on correct code.  Then the unit draws
+# of a scenario the sampler keeps (the first one at check seed 1351).
+BELOW_GRID_SCENARIO = [
+    0.005005324132786981, 0.1814492595381736, 0.6410868746353455,
+    0.1266156542010518, 0.9635278025918106, 0.6441597248426406,
+    0.9220827705022411, 0.6409572388377918, 0.2897489442343447,
+    0.6241910697036629, 0.8864524902031163, 0.3188349932055332,
+]
+KEPT_SCENARIO = [
+    0.39760511841749036, 0.7156782726442716, 0.5810114378699153,
+    0.5638712393294792, 0.5919363067743657, 0.20536898730442354,
+    0.5104208146202645, 0.5952706316046277, 0.5478107747792871,
+    0.586241403072278, 0.8957584303580637, 0.10666315830981954,
+]
+
+
+def test_root_suite_resamples_a_root_below_the_scan_grid(replay_draws, monkeypatch):
+    replay_draws(BELOW_GRID_SCENARIO + KEPT_SCENARIO)
+    monkeypatch.setattr(checks, "ROOT_SCENARIOS", 1)
+    suite = checks.check_root_residuals()
     assert suite["passed"], suite
     assert suite["max_closed_vs_scan"] <= checks.AGREE_TOL
 

@@ -352,6 +352,28 @@ def test_multi_step_draw_equals_step_normals(
         assert np.array_equal(row, step_normals(seed, first_path, n_paths, j)), j
 
 
+@pytest.mark.parametrize(
+    "n_paths, n_controls, n_steps",
+    # the path_dump and mc_sweep blocks (32768 // 10000 = 3 and
+    # 32768 // 1560 = 21 steps would fit in a call), and an odd step count
+    [(10000, 1, 100), (1560, 21, 100), (1560, 21, 21)],
+)
+def test_engine_computes_each_box_muller_pair_once(monkeypatch, n_paths, n_controls, n_steps):
+    pairs = []
+    box_muller = dynamics._box_muller
+
+    def counting(u1, u2, cos, sin):
+        pairs.append(u1.size)
+        return box_muller(u1, u2, cos, sin)
+
+    monkeypatch.setattr(dynamics, "_box_muller", counting)
+    model = ModelParams(a=1.0, sigma1=0.3, sigma2=0.1)
+    controls = np.linspace(0.0, 1.0, n_controls)
+    for _ in dynamics._em_steps(1.0, controls, model, 0.01, n_steps, 42, 0, n_paths):
+        pass
+    assert sum(pairs) == n_paths * -(-n_steps // 2)
+
+
 def test_noise_is_standard_normal():
     import scipy.stats
 

@@ -232,8 +232,55 @@ def test_default_terminal_constant():
 
 @pytest.mark.parametrize("seed", [113, 120, 263])
 def test_derivative_consistency_suite_where_terms_nearly_cancel(seed):
-    # validate's numerics.seed 112, 119 and 262 (the suite runs at seed + 1):
-    # a published-minus-exact gap of ~1e-11 on partials of ~0.6, and two
-    # f_xx within 1e-7 of zero, each right up to rounding or FD truncation
+    # validate's numerics.seed 112, 119 and 262 (the suite runs at seed + 1)
+    # drew the points of EDGE_POINTS from the PCG64 stream that the suites
+    # once used; the counter stream draws other points at these seeds, and
+    # the replay test below keeps the edge points themselves
     suite = checks.check_finite_differences(seed=seed)
+    assert suite["passed"], suite
+
+
+# The PCG64 unit draws of those points: at check seed 113 point 4, a
+# published-minus-exact f_x gap of 1.6e-11 on partials of 0.61; at 120 point
+# 93 and 263 point 12, an f_xx of 9.4e-8 and of -1.7e-8.  Each is right up to
+# rounding or FD truncation when measured against the size of its terms.
+# Odd points draw a multiplier, so point 93 follows the draws of point 92.
+EDGE_POINTS = {
+    "113/4": [
+        0.672924854303115, 0.5385897036231736, 0.13762071899846562,
+        0.07154136801114142, 0.12231612848938489, 0.26058960137656784,
+        0.47248448925731723, 0.43724433078905434, 0.4142494012379351,
+        0.08291053557610706, 0.9975919295830953, 0.4550797561285026,
+        0.40927308619529734, 1.0652172318770248e-05,
+    ],
+    "120/93": [
+        0.6837365161139252, 0.023477158139600163, 0.2583117549636681,
+        0.3039979491301449, 0.31651743474234806, 0.4013005881941788,
+        0.7692852677187951, 0.21121932063852977, 0.6618164921672604,
+        0.5956899029919243, 0.3426258880235926, 0.11563898614855572,
+        0.921251435538573, 0.6135845942897951,
+        0.4248398323656637, 0.612855153761579, 0.8604736723613297,
+        0.4240050581832171, 0.7095246894162318, 0.6495173432979482,
+        0.03849490487403395, 0.027675084750110046, 0.8558248979211548,
+        0.2505152396037442, 0.4267857806085481, 0.41885539036175623,
+        0.24583396221913534, 0.3395246819997825, 0.5594365443357316,
+        0.012754434387730051,
+    ],
+    "263/12": [
+        0.05283396500279547, 0.8079322113706292, 0.8552397064766133,
+        0.8228748131431333, 0.012304501268519785, 0.2037008281021616,
+        0.3711499687525147, 0.9864252974391695, 0.9365002612792115,
+        0.39921522372109464, 0.6762086135629346, 0.7143368949892743,
+        0.8534492937727701, 0.0001917901512310527,
+    ],
+}
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS)
+def test_derivative_consistency_suite_replays_its_edge_points(replay_draws, monkeypatch, point):
+    units = EDGE_POINTS[point]
+    replay_draws(units)
+    # 14 draws for a point without a multiplier, 16 with one
+    monkeypatch.setattr(checks, "FD_POINTS", 1 if len(units) == 14 else 2)
+    suite = checks.check_finite_differences()
     assert suite["passed"], suite
