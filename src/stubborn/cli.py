@@ -273,7 +273,7 @@ def _engine_blocks(n_paths: int, n_controls: int, n_steps: int) -> dict[str, int
     """The manifest's block_paths and draw_steps: the paths of the engine's
     first block, and the steps of noise that block draws per call."""
     paths = min(n_paths, dynamics._block_paths(n_controls))
-    return {"block_paths": paths, "draw_steps": dynamics._draw_steps(paths, n_steps)}
+    return {"block_paths": paths, "draw_steps": 2 * dynamics._draw_pairs(paths, n_steps)}
 
 
 # Paths per chunk of paths.csv lines; the chunks depend only on n_paths.
@@ -281,7 +281,7 @@ def _engine_blocks(n_paths: int, n_controls: int, n_steps: int) -> dict[str, int
 # path_dump config (wall time 2% lower in the median, lower in only 4 of 10
 # alternated pairs on 2 cores), but a worker and the command each hold a
 # chunk's text at a time, and at 500 paths that raised peak RSS by 8%.
-_BLOCK_PATHS = 100
+_CHUNK_PATHS = 100
 
 
 def _path_block(first: int, states: np.ndarray, clamped: np.ndarray, steps: list[str]) -> str:
@@ -310,14 +310,14 @@ def cmd_simulate(config: RunConfig, out_dir: FsPath) -> tuple[dict[str, float], 
         num.n_paths,
     )
     # The ",k,s," prefixes are formatted once; the lines in chunks of
-    # _BLOCK_PATHS paths, on forked worker processes when there are two or
+    # _CHUNK_PATHS paths, on forked worker processes when there are two or
     # more chunks and workers (repr holds the GIL, so threads would not
     # help).  The workers fork here, after simulate_batch has reaped its
     # own and before paths.csv is opened; they read states and clamped from
     # the shared memory they inherit and stream each chunk's bytes back
     # through a pipe, in path order.
     steps = [f",{k},{_fmt(k * num.dt)}," for k in range(states.shape[1])]
-    size = _BLOCK_PATHS
+    size = _CHUNK_PATHS
     chunks = [(first, states[first:first + size], clamped[first:first + size], steps)
               for first in range(0, num.n_paths, size)]
     workers = min(dynamics._worker_count(), len(chunks))

@@ -11,36 +11,37 @@ a Box-Muller transform), so per-path streams are bit-reproducible and
 independent of batch layout, chunking, and worker count.  `step_normals`
 defines the stream; the engine computes each path's key
 _mix64(seed + GOLDEN*(path+1)) once per block and draws from those keys
-several steps per call, as one (S, m) array for S steps of the block's m
-paths, with the same operations in the same order on every element, so
-each row equals its step's `step_normals` bit for bit.
+several Box-Muller pairs per call, as one (2, P, m) array for P pairs of
+the block's m paths, with the same operations in the same order on every
+element, so each row equals its step's `step_normals` bit for bit.
 Steps 2i and 2i+1 share one Box-Muller pair i: the two SplitMix64 words
 of pair i give u1 and u2, step 2i takes r*cos(2 pi u2) and step 2i+1
 r*sin(2 pi u2), r = sqrt(-2 log u1), two independent normals (Box and
 Muller 1958).  Both come from t = tan(pi u2), as r*(1 - t^2)/(1 + t^2)
 and r*2t/(1 + t^2): with numpy 2.4 on AVX-512, float64 `np.tan` is SIMD
 while `np.cos` and `np.sin` are scalar libm.  A normal costs 9 ns in
-16384-path draws and 11 ns in 1560-path x 21-step ones, against 16 and
-18 ns when each step took the cosine of a pair of its own (2-vCPU Xeon).
+16384-path draws, against 16 ns when each step took the cosine of a pair
+of its own (2-vCPU Xeon).
 The draws agree with the libm cos and sin forms to 1e-15 absolute.  Where
 numpy has no SIMD tan (no AVX-512) it falls back to libm and the gain
 shrinks; the bits are reproducible on any one machine, as they already
 are with `np.log`'s SIMD dispatch.
-S = `_draw_steps(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
-at the run's steps, and is even below the run's steps: 2 steps for
-16384 paths, 20 for the 1560-path blocks of a 21-control sweep, every
-step of an `optimize` ranking block; the last call is cut at n_steps.
-An even S starts every call on a pair; an odd S would start every other
-call in the middle of a pair that the call before had already computed
-(670,000 pairs for the 500,000 that 10000 paths x 100 steps need at
-S = 3).  A call that starts or ends mid-pair computes that pair whole.
-The draw buffers hold the ceil(S/2) pairs a call can touch, so a block
-whose S is its odd step count holds one step it never runs (on the
-perfbench `feedback_grid` optimize, sizing them by the normals cap alone
-raised the process's peak RSS by 0.45 MB).  One step per call made
-a perfbench `mc_sweep` sweep slower on worker processes (1.32 against
-1.23 s at 1 worker, 0.727 against 0.682 s at 2, medians of 6 alternated
-processes on 2 cores), and an uncapped S slowed one worker.
+P = `_draw_pairs(m, n_steps)` caps a call at `_BLOCK_ELEMS` normals and
+at the ceil(n_steps/2) pairs the run needs: 1 pair for 16384 or 10000
+paths, 10 for the 1560-path blocks of a 21-control sweep, every pair of
+an `optimize` ranking block; the last call is cut at the run's last
+pair.  Plane 0 holds the cosines (even steps) and plane 1 the sines (odd
+steps), each contiguous: in 1560-path x 10-pair draws a normal costs
+8.1-8.4 ns, against 9.6 ns when the two rows of each pair interleaved in
+one buffer.  `_em_steps` draws a call's pairs when j is a multiple of 2P
+and reads step j from plane j % 2, row (j // 2) mod P, so every call
+starts on a pair and computes it once; a run of odd n_steps draws the
+sine of its last pair without using it.  Sizing the draw buffers by the
+normals cap alone, not by the pairs the run needs, raised the peak RSS
+of the perfbench `feedback_grid` optimize by 0.45 MB.  One step per call
+made a perfbench `mc_sweep` sweep slower on worker processes (1.32
+against 1.23 s at 1 worker, 0.727 against 0.682 s at 2, medians of 6
+alternated processes on 2 cores), and an uncapped P slowed one worker.
 
 `_em_steps` is the only Euler-Maruyama recursion in the package and
 `_for_each_chunk` the only place that splits paths into blocks and
@@ -147,31 +148,27 @@ def _path_keys(seed: int, first_path: int, n_paths: int) -> np.ndarray:
     return _mix64(paths)
 
 
-def _step_draws(
-    keys: np.ndarray, first_step: int, n_steps: int, work: np.ndarray | None = None
+def _pair_draws(
+    keys: np.ndarray, first_pair: int, n_pairs: int, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """Standard-normal draws at steps first_step..first_step+n_steps-1.
+    """Standard-normal draws of Box-Muller pairs first_pair..first_pair+n_pairs-1.
 
-    Row i of the (n_steps, len(keys)) result holds step first_step+i for
-    the paths with these keys.  Steps 2i and 2i+1 share pair i: two
-    SplitMix64 outputs per path give u1 and u2, and `_box_muller` turns
-    them into the cosine normal (step 2i) and the sine normal (step
-    2i+1).  A call that starts or ends mid-pair computes that pair whole;
-    every element sees the same operations whatever the call, so rows do
-    not depend on first_step or n_steps.  work is a uint64 array of shape
-    (2, >= 2P, len(keys)) for the P pairs the call touches (at most
-    n_steps // 2 + 1), which the draw overwrites: plane 0 holds u1 and
-    u2, plane 1 the mixed words and then the normals, cosine and sine
-    rows interleaved.  The result is a float64 view of plane 1, so plane
-    0 is free again once the call returns.  work is a fresh array when it
-    is None.
+    Row i of plane 0 of the (2, n_pairs, len(keys)) result holds the
+    cosine normals of pair first_pair+i (its even step) for the paths
+    with these keys, and row i of plane 1 the sine normals (its odd
+    step); each plane is contiguous.  Two SplitMix64 outputs per path
+    give u1 and u2, and `_box_muller` turns them into both normals; every
+    element sees the same operations whatever the call, so rows do not
+    depend on first_pair or n_pairs.  work is a uint64 array of shape
+    (2, 2, >= n_pairs, len(keys)), which the draw overwrites: plane 0
+    holds u1 and u2, plane 1 the mixed words and then the normals.  The
+    result is a float64 view of plane 1, so plane 0 is free again once
+    the call returns.  work is a fresh array when it is None.
     """
-    first_pair = first_step // 2
-    n_pairs = (first_step + n_steps - 1) // 2 - first_pair + 1
     if work is None:
-        work = np.empty((2, 2 * n_pairs, len(keys)), np.uint64)
-    u1, u2 = work[0, :n_pairs].view(np.float64), work[0, n_pairs : 2 * n_pairs].view(np.float64)
-    z, t = work[1, :n_pairs], work[1, n_pairs : 2 * n_pairs]
+        work = np.empty((2, 2, n_pairs, len(keys)), np.uint64)
+    u1, u2 = work[0, :, :n_pairs].view(np.float64)
+    z, t = work[1, :, :n_pairs]
     pairs = range(first_pair, first_pair + n_pairs)
     # Offsets wrap in Python int space; numpy scalar uint64 multiplies would
     # emit spurious overflow warnings.
@@ -187,11 +184,9 @@ def _step_draws(
     z >>= np.uint64(11)
     u2[...] = z
     u2 *= _INV53
-    normals = work[1, : 2 * n_pairs].view(np.float64)
-    interleaved = normals.reshape(n_pairs, 2, len(keys))
-    _box_muller(u1, u2, interleaved[:, 0], interleaved[:, 1])
-    offset = first_step - 2 * first_pair
-    return normals[offset : offset + n_steps]
+    normals = work[1, :, :n_pairs].view(np.float64)
+    _box_muller(u1, u2, normals[0], normals[1])
+    return normals
 
 
 def _box_muller(
@@ -204,11 +199,9 @@ def _box_muller(
     r*sin(2 pi u2) = (r/(1 + t^2))*(2t) into sin, and returns (cos, sin);
     u1 and u2 are overwritten.  One log, sqrt and tan serve two normals,
     and tan is SIMD where numpy has it while cos and sin are scalar libm
-    (see the module docstring).  No step reads one of cos and sin while
-    writing the other: numpy copies an operand that may overlap its
-    output, and the engine interleaves the two in one buffer.  At
-    u2 = 1/2, the pole of tan, t is about 1.6e16, since pi/2 rounds below
-    the pole, and the pair is (-r, about 1.2e-16 r).
+    (see the module docstring).  At u2 = 1/2, the pole of tan, t is about
+    1.6e16, since pi/2 rounds below the pole, and the pair is
+    (-r, about 1.2e-16 r).
     """
     np.log(u1, out=u1)
     u1 *= -2.0
@@ -231,10 +224,10 @@ def step_normals(seed: int, first_path: int, n_paths: int, step: int) -> np.ndar
     Pure function of (seed, path_index, step_index); random access in both
     path and step, which is what makes chunked and forked simulation
     bit-stable.  This is the definition of the noise stream; the engine
-    computes the same draws, several steps per call, from keys it keeps
+    computes the same draws, several pairs per call, from keys it keeps
     for a whole block.
     """
-    return _step_draws(_path_keys(seed, first_path, n_paths), step, 1)[0]
+    return _pair_draws(_path_keys(seed, first_path, n_paths), step // 2, 1)[step % 2, 0]
 
 
 def drift(x: np.ndarray | float, u: np.ndarray | float, model: ModelParams) -> np.ndarray | float:
@@ -307,22 +300,22 @@ def _em_steps(
     shock_scale, decay = model.sigma1 * sqrt_dt, 1.0 - model.sigma2 * dt
     decay_scale = model.sigma2 * sqrt_dt
     keys = _path_keys(seed, first_path, n_paths)
-    chunk = _draw_steps(n_paths, n_steps)
-    work = np.empty((2, chunk + chunk % 2, n_paths), np.uint64)  # the draws' buffers
-    shocks = work[0].view(np.float64)  # the draws' uniforms plane, free between draws
+    pairs = _draw_pairs(n_paths, n_steps)
+    work = np.empty((2, 2, pairs, n_paths), np.uint64)  # the draws' buffers
+    shocks = work[0].view(np.float64)  # the draws' uniforms planes, free between draws
     x = np.empty((len(u), n_paths))
     x[...] = starts.reshape(-1, 1)
     x_next, sq, term = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     hit = np.empty(x.shape, dtype=bool)
     for j in range(n_steps):
-        if j % chunk == 0:
+        if j % (2 * pairs) == 0:
             # Once per path and step: the shock row sigma1*sqrt(dt)*w, and
             # the draws become the growth row 1 - sigma2*dt - sigma2*sqrt(dt)*w.
-            growths = _step_draws(keys, j, min(chunk, n_steps - j), work)
-            np.multiply(growths, shock_scale, out=shocks[: len(growths)])
+            growths = _pair_draws(keys, j // 2, min(pairs, (n_steps - j + 1) // 2), work)
+            np.multiply(growths, shock_scale, out=shocks[:, : growths.shape[1]])
             growths *= decay_scale
             np.subtract(decay, growths, out=growths)
-        shock, growth = shocks[j % chunk], growths[j % chunk]
+        shock, growth = shocks[j % 2, j // 2 % pairs], growths[j % 2, j // 2 % pairs]
         # x_next = (a*dt)*sqrt(x) + (shock - u*dt) + x*growth, in that
         # rounding order, in place.  Clamped states are never negative, so
         # only the raw recursion and a start state need max(x, 0).
@@ -374,19 +367,15 @@ def _block_paths(n_controls: int) -> int:
     return max(1, min(_BLOCK_PATHS, _BLOCK_ELEMS // n_controls))
 
 
-def _draw_steps(n_paths: int, n_steps: int) -> int:
-    """Steps of noise `_em_steps` draws per call for a block of n_paths
-    paths that runs n_steps steps.
+def _draw_pairs(n_paths: int, n_steps: int) -> int:
+    """Box-Muller pairs of noise `_em_steps` draws per call for a block of
+    n_paths paths that runs n_steps steps.
 
-    At most `_BLOCK_ELEMS` normals, at least one step and at most n_steps
-    per call, so the draw buffers hold no step the block never runs.  Below
-    n_steps the count is even, so every call but the first starts on a
-    Box-Muller pair, not in the middle of one that the previous call
-    already computed.  The manifests of `simulate` and `sweep` record it as
-    `draw_steps`.
+    At most `_BLOCK_ELEMS` normals, at least one pair and at most the
+    ceil(n_steps / 2) pairs the block runs per call.  The manifests of
+    `simulate` and `sweep` record twice it as `draw_steps`.
     """
-    steps = min(n_steps, _BLOCK_ELEMS // n_paths)
-    return max(1, steps if steps == n_steps else steps - steps % 2)
+    return max(1, min(-(-n_steps // 2), _BLOCK_ELEMS // (2 * n_paths)))
 
 
 def _shared(shape: int | tuple[int, ...], dtype: type = np.float64) -> np.ndarray:

@@ -220,7 +220,7 @@ def test_paths_csv_matches_row_formula(n_paths, dt, x0, threads, chunk, seed):
     doc = dict(MINIMAL, numerics=small_numerics(n_paths=n_paths, dt=dt, x0=x0, seed=seed))
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setenv("STUBBORN_THREADS", threads)
-        mp.setattr(cli, "_BLOCK_PATHS", chunk)
+        mp.setattr(cli, "_CHUNK_PATHS", chunk)
         out = Path(tmp) / "out"
         assert main(["simulate", "--config", write_config(Path(tmp), doc),
                      "--out-dir", str(out)]) == 0
@@ -265,7 +265,7 @@ def test_worker_error_fails_simulate_and_leaves_no_worker(
     tmp_path, monkeypatch, target, planted, message
 ):
     monkeypatch.setenv("STUBBORN_THREADS", "2")
-    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)  # 16 paths in 6 chunks, on 2 workers
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 3)  # 16 paths in 6 chunks, on 2 workers
     cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics()))
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "ok")]) == 0
     ok = json.loads((tmp_path / "ok" / "manifest.json").read_text())
@@ -351,7 +351,7 @@ def test_simulate_without_fork_runs_inline(tmp_path, monkeypatch):
     # where the platform has no os.fork the worker count is 1, so the engine
     # and the paths.csv writer both run in the command's own process
     monkeypatch.setenv("STUBBORN_THREADS", "2")
-    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)  # 16 paths in 6 chunks
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 3)  # 16 paths in 6 chunks
     cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics()))
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "forked")]) == 0
     monkeypatch.delattr(os, "fork")
@@ -427,7 +427,7 @@ def test_paths_csv_keeps_path_order_when_chunks_finish_out_of_order(tmp_path, mo
     # the chunk at path 0 finishes last of 6, on 2 workers; the rows must
     # still come in path order
     monkeypatch.setenv("STUBBORN_THREADS", "2")
-    monkeypatch.setattr(cli, "_BLOCK_PATHS", 3)
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 3)
     monkeypatch.setattr(cli, "_path_block", _block_late_at_path_0)
     cfg_path = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(seed=7)))
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
@@ -514,7 +514,7 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
     # 3 worker processes, as STUBBORN_THREADS allows
     assert sim["write_workers"] == low["write_workers"] == 1
     assert sim["write_chunk_paths"] == low["write_chunk_paths"] == 100
-    monkeypatch.setattr(cli, "_BLOCK_PATHS", 4)
+    monkeypatch.setattr(cli, "_CHUNK_PATHS", 4)
     assert main(["simulate", "--config", cfg_path, "--out-dir", str(tmp_path / "chunked")]) == 0
     chunked = json.loads((tmp_path / "chunked" / "manifest.json").read_text())["diagnostics"]
     assert chunked["write_workers"] == 3
@@ -566,24 +566,27 @@ def test_manifest_diagnostics(tmp_path, monkeypatch):
 
 def test_manifest_reports_the_engine_block_that_ran(tmp_path, monkeypatch):
     # block_paths and draw_steps are the paths of the first block and the
-    # steps of its first noise draw, as the engine drew them
+    # steps of its first noise draw (two per Box-Muller pair), as the
+    # engine drew them
     calls = []
-    draws = dynamics._step_draws
+    draws = dynamics._pair_draws
 
-    def spy(keys, first_step, n_steps, *work):
-        calls.append((len(keys), n_steps))
-        return draws(keys, first_step, n_steps, *work)
+    def spy(keys, first_pair, n_pairs, *work):
+        calls.append((len(keys), 2 * n_pairs))
+        return draws(keys, first_pair, n_pairs, *work)
 
-    monkeypatch.setattr(dynamics, "_step_draws", spy)
+    monkeypatch.setattr(dynamics, "_pair_draws", spy)
     monkeypatch.setenv("STUBBORN_THREADS", "1")  # every draw in this process
     readme = write_config(tmp_path, readme_config(), "readme.json")
     split = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(
         n_paths=3500, u_grid_n=21)), "split.json")
+    odd = write_config(tmp_path, dict(MINIMAL, numerics=small_numerics(dt=0.2)), "odd.json")
     # the README config: one 1000-path block of 100 steps, 32 steps per call
     # (and 21 controls in sweep); 3500 paths of 21 controls in 1560-path
-    # blocks of 20 steps, drawn in one call each
+    # blocks of 20 steps, drawn in one call each; 16 paths of 5 steps, drawn
+    # as the 3 pairs of one call
     runs = [("simulate", readme, (1000, 32)), ("sweep", readme, (1000, 32)),
-            ("sweep", split, (1560, 20))]
+            ("sweep", split, (1560, 20)), ("simulate", odd, (16, 6))]
     for i, (command, cfg_path, shape) in enumerate(runs):
         calls.clear()
         out = tmp_path / str(i)

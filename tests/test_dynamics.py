@@ -326,30 +326,43 @@ def test_noise_is_random_access():
     seed=st.integers(0, 2**64 - 1),
     first_path=st.integers(0, 2**40),
     n_paths=st.integers(1, 40),
-    first_step=st.integers(0, 7),
-    n_steps=st.sampled_from([1, 2, 5, 7, 10]),
-    chunk=st.sampled_from(["one", "two", "non-divisor", "longer"]),
+    first_pair=st.integers(0, 7),
+    n_pairs=st.integers(1, 6),
+    split=st.sampled_from(["one", "two", "three", "longer"]),
 )
-def test_multi_step_draw_equals_step_normals(
-    seed, first_path, n_paths, first_step, n_steps, chunk
+def test_pair_draws_split_into_calls_equal_one_call(
+    seed, first_path, n_paths, first_pair, n_pairs, split
 ):
-    """Each row of a several-step draw is that step's `step_normals`, bit for bit.
+    """Pairs drawn in several calls equal one call, and each plane's rows are steps.
 
-    The steps from first_step on are drawn in chunks as `_em_steps` does,
-    the last cut at n_steps; an odd first_step, chunk or n_steps makes a
-    call start or end mid-pair.
+    Pairs [first_pair, first_pair + n_pairs) are drawn in calls of 1, 2, 3
+    or n_pairs + 2 pairs through one reused buffer, as `_em_steps` does,
+    the last call cut at the range's end.  Row i of plane 0 is the step
+    2(first_pair + i) of `step_normals` and row i of plane 1 the step after
+    it, bit for bit; the two planes are that pair's Box-Muller cosine and
+    sine, written out here from SplitMix64 and libm's cos and sin.
     """
-    size = {"one": 1, "two": 2, "non-divisor": 3, "longer": n_steps + 4}[chunk]
     keys = dynamics._path_keys(seed, first_path, n_paths)
-    rows = []
-    for first in range(first_step, first_step + n_steps, size):
-        n = min(size, first_step + n_steps - first)
-        draw = dynamics._step_draws(keys, first, n)
-        assert draw.shape == (n, n_paths)
-        rows.extend(draw)
-    assert len(rows) == n_steps
-    for j, row in enumerate(rows, start=first_step):
-        assert np.array_equal(row, step_normals(seed, first_path, n_paths, j)), j
+    whole = dynamics._pair_draws(keys, first_pair, n_pairs)
+    assert whole.shape == (2, n_pairs, n_paths)
+    size = {"one": 1, "two": 2, "three": 3, "longer": n_pairs + 2}[split]
+    work = np.empty((2, 2, size, n_paths), np.uint64)
+    parts = [
+        dynamics._pair_draws(keys, p, min(size, first_pair + n_pairs - p), work).copy()
+        for p in range(first_pair, first_pair + n_pairs, size)
+    ]
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    golden, mask, inv53 = 0x9E3779B97F4A7C15, 2**64 - 1, 2.0**-53
+    for i, pair in enumerate(range(first_pair, first_pair + n_pairs)):
+        step = 2 * pair
+        assert np.array_equal(whole[0, i], step_normals(seed, first_path, n_paths, step))
+        assert np.array_equal(whole[1, i], step_normals(seed, first_path, n_paths, step + 1))
+        u1 = splitmix64(keys + np.uint64(golden * (2 * pair + 1) & mask)) >> np.uint64(11)
+        u2 = splitmix64(keys + np.uint64(golden * (2 * pair + 2) & mask)) >> np.uint64(11)
+        cos, sin = libm_box_muller(
+            (u1.astype(np.float64) + 1.0) * inv53, u2.astype(np.float64) * inv53
+        )
+        assert np.abs(whole[:, i] - [cos, sin]).max() <= 1e-13, pair
 
 
 @pytest.mark.parametrize(
